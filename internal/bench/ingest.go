@@ -283,8 +283,9 @@ func benchMonitorPushWAL(dims, window int, fsync string) testing.BenchmarkResult
 // follower streams in the background and pushes never wait. semiK=1 blocks
 // every push on the follower's ack, so ns/op is the full commit round trip —
 // local apply + WAL append + stream-out + follower apply + ack — i.e. the
-// same-machine price of the semi-sync guarantee, dominated by the server's
-// tail-follow poll rather than by compute.
+// same-machine price of the semi-sync guarantee. The server's tail-follower
+// wakes on the WAL's commit broadcast, so the round trip is compute plus
+// loopback hops.
 func benchReplPush(dims, window, semiK int) testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -311,7 +312,7 @@ func benchReplPush(dims, window, semiK int) testing.BenchmarkResult {
 		defer m.Close()
 		srv, err := repl.NewServer(m, "127.0.0.1:0", repl.ServerOptions{
 			SemiSyncK: semiK, AckWait: 5 * time.Second,
-			Heartbeat: 50 * time.Millisecond, Poll: time.Millisecond,
+			Heartbeat: 50 * time.Millisecond,
 		})
 		if err != nil {
 			b.Fatal(err)

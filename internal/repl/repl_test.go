@@ -28,7 +28,7 @@ func testOptions(dir string) pskyline.Options {
 
 // fastServer/fastFollower keep the test wall-clock short.
 func fastServerOptions() ServerOptions {
-	return ServerOptions{Heartbeat: 30 * time.Millisecond, Poll: 2 * time.Millisecond}
+	return ServerOptions{Heartbeat: 30 * time.Millisecond}
 }
 
 func fastFollowerOptions(addr string) FollowerOptions {

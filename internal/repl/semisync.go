@@ -242,17 +242,19 @@ func (s *Server) commitWait(seq uint64) error {
 	s.waiters = append(s.waiters, w)
 	s.mu.Unlock()
 
+	t0 := time.Now()
 	t := time.NewTimer(s.opt.AckWait)
 	defer t.Stop()
 	select {
 	case <-w.ch:
-		return w.err
 	case <-t.C:
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.commitWaitHist.Record(time.Since(t0)) // single writer: under s.mu
 	if w.done {
-		// Satisfied (or released) between the timer firing and the lock.
+		// Satisfied or released — possibly between the timer firing and
+		// the lock.
 		return w.err
 	}
 	s.removeWaiterLocked(w)

@@ -105,6 +105,55 @@ func TestSemiSyncMatchesAsyncByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSemiSyncWakesOnCommit pins that the tail-follower wakes on the WAL's
+// commit broadcast, not on a timer: with heartbeats an hour apart, every
+// semi-sync push must still be shipped, applied and acked well inside
+// AckWait. A poll or heartbeat-only wakeup would leave the quorum wait to
+// time out and degrade the stream.
+func TestSemiSyncWakesOnCommit(t *testing.T) {
+	primary, err := pskyline.NewMonitor(testOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	srv, err := NewServer(primary, "127.0.0.1:0", ServerOptions{
+		Heartbeat: time.Hour, SemiSyncK: 1, AckWait: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	fopt := fastFollowerOptions(srv.Addr().String())
+	fopt.HeartbeatTimeout = time.Minute // the primary is silent between pushes
+	f, err := StartFollower(testOptions(t.TempDir()), fopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	// The primary starts async and upgrades once the follower acks a
+	// records frame, so warm the stream first.
+	rng := rand.New(rand.NewSource(13))
+	pushN(t, primary, rng, 10)
+	waitApplied(t, f, primary.NextSeq())
+	waitSyncState(t, srv, "semisync")
+
+	waits := srv.Status().Waits
+	for i := 0; i < 100; i++ {
+		pushN(t, primary, rng, 1)
+		if st := srv.Status(); st.WaitTimeouts != 0 || st.Degrades != 0 {
+			t.Fatalf("push %d: quorum wait timed out or degraded: %+v", i, st)
+		}
+	}
+	st := srv.Status()
+	if st.SyncState != "semisync" || st.Waits-waits != 100 {
+		t.Fatalf("pushes did not all wait on the quorum: %d waits, %+v", st.Waits-waits, st)
+	}
+	if got, want := f.Monitor().NextSeq(), primary.NextSeq(); got != want {
+		t.Fatalf("follower at seq %d, primary at %d", got, want)
+	}
+}
+
 // TestSemiSyncDegradeHealUpgradeCycle is differential proof (b) and walks
 // every edge of the state machine under a seeded partition: semisync →
 // degraded within AckWait when a blackhole swallows the stream, degraded →
@@ -180,10 +229,16 @@ func TestSemiSyncDegradeHealUpgradeCycle(t *testing.T) {
 		"pskyline_repl_semisync_degrades_total",
 		"pskyline_repl_semisync_upgrades_total",
 		"pskyline_repl_quorum_acked_seq",
+		"# TYPE pskyline_repl_commit_wait_seconds histogram",
+		`pskyline_repl_commit_wait_seconds_bucket{le="+Inf"}`,
+		"pskyline_repl_commit_wait_seconds_count",
 	} {
 		if !strings.Contains(prom.String(), series) {
 			t.Fatalf("prometheus output missing %q:\n%s", series, prom.String())
 		}
+	}
+	if strings.Contains(prom.String(), "pskyline_repl_commit_wait_seconds_count 0\n") {
+		t.Fatalf("blocking commit waits were not recorded:\n%s", prom.String())
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"pskyline"
 	"pskyline/internal/netfault"
+	"pskyline/internal/obs"
 	"pskyline/internal/wal"
 )
 
@@ -24,14 +25,13 @@ type ServerOptions struct {
 	// carrying a newer epoch are rejected as evidence that this primary
 	// has been deposed.
 	Epoch uint64
-	// Heartbeat is the idle keep-alive interval (default 500ms). Each
-	// heartbeat carries the committed watermark and a wall-clock stamp the
-	// follower echoes, which is what keeps the seconds-lag gauge live on
-	// an idle stream.
+	// Heartbeat is the idle keep-alive interval (default 500ms): a
+	// heartbeat goes out once a connection has sent nothing for this long.
+	// Each heartbeat carries the committed watermark and a wall-clock stamp
+	// the follower echoes, which is what keeps the seconds-lag gauge live
+	// on an idle stream. Records never wait for it — they are streamed as
+	// soon as the WAL commits them.
 	Heartbeat time.Duration
-	// Poll is the tail-follow poll interval when the log is drained
-	// (default 10ms).
-	Poll time.Duration
 	// BatchBytes bounds the raw record bytes per records frame
 	// (default 256 KiB).
 	BatchBytes int
@@ -66,9 +66,6 @@ type ServerOptions struct {
 func (o *ServerOptions) normalize() {
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = 500 * time.Millisecond
-	}
-	if o.Poll <= 0 {
-		o.Poll = 10 * time.Millisecond
 	}
 	if o.BatchBytes <= 0 {
 		o.BatchBytes = 256 << 10
@@ -131,7 +128,10 @@ type ServerStatus struct {
 // Server is the primary side: it accepts follower connections, performs
 // the config/epoch handshake, optionally ships a checkpoint for catch-up,
 // then streams committed WAL records and heartbeats while tracking
-// per-follower lag from acks.
+// per-follower lag from acks. Each connection's tail-follower blocks on the
+// WAL's commit broadcast (wal.CommitNotify) when drained, so a committed
+// record leaves for the follower at once; the only timer is the idle
+// heartbeat.
 type Server struct {
 	mon *pskyline.Monitor
 	log *wal.WAL
@@ -158,6 +158,10 @@ type Server struct {
 	semWaits        uint64
 	semWaitTimeouts uint64
 	semShortfalls   uint64
+	// commitWaitHist times every blocking quorum wait (recorded under mu),
+	// exported through metrics as pskyline_repl_commit_wait_seconds.
+	commitWaitHist obs.Histogram
+	metrics        *obs.Registry
 }
 
 type connState struct {
@@ -184,6 +188,9 @@ func NewServer(mon *pskyline.Monitor, addr string, opt ServerOptions) (*Server, 
 		return nil, fmt.Errorf("repl: listen: %w", err)
 	}
 	s := &Server{mon: mon, log: log, opt: opt, ln: ln, conns: make(map[net.Conn]*connState)}
+	s.metrics = obs.NewRegistry()
+	s.metrics.RegisterHistogram("pskyline_repl_commit_wait_seconds",
+		"Time a semi-sync push spent blocked on the follower quorum's ack.", &s.commitWaitHist)
 	// A semi-sync primary starts async — there is no quorum until K
 	// followers connect and catch up — and upgrades on ack progress.
 	s.syncA.Store(int32(SyncAsync))
@@ -481,48 +488,64 @@ func (s *Server) sendCheckpoint(c net.Conn, r io.Reader, seq uint64, size int64)
 }
 
 // streamTail follows the committed log from start, batching raw record
-// bytes into records frames and heartbeating when idle. Returns when the
-// connection dies, the log position is garbage-collected out from under the
-// reader (the follower reconnects and catches up via checkpoint), or stop
-// closes.
+// bytes into records frames and heartbeating when idle. A drained reader
+// blocks on the WAL's commit broadcast, so a record ships as soon as it is
+// committed. Returns when the connection dies, the log position is
+// garbage-collected out from under the reader (the follower reconnects and
+// catches up via checkpoint), or stop closes.
 func (s *Server) streamTail(c net.Conn, start uint64, stop <-chan struct{}) {
 	tr := s.log.NewTailReader(start)
 	defer tr.Close()
+	hb := time.NewTimer(s.opt.Heartbeat)
+	defer hb.Stop()
 	var recs, frame []byte
-	lastSend := time.Now()
 	for {
 		select {
 		case <-stop:
 			return
 		default:
 		}
+		// Take the notification before reading: a commit that lands after
+		// Next has looked closes this channel, so the wait below cannot
+		// sleep through it.
+		committed := s.log.CommitNotify()
 		out, _, _, err := tr.Next(recs[:0], s.opt.BatchBytes)
 		if err != nil {
 			return // ErrGone, ErrClosed, or corruption: drop and let the follower re-handshake
 		}
 		recs = out[:0]
-		now := time.Now()
+		var now time.Time
 		if len(out) > 0 {
+			now = time.Now()
 			frame = appendRecordsFrame(frame[:0], s.opt.Epoch, now.UnixNano(), s.log.CommittedSeq(), out)
-		} else if now.Sub(lastSend) >= s.opt.Heartbeat {
+		} else {
+			select {
+			case <-stop:
+				return
+			case <-committed:
+				continue
+			case <-hb.C:
+			}
+			now = time.Now()
 			frame, err = appendJSONFrame(frame[:0], frameHeartbeat, s.opt.Epoch,
 				heartbeatMsg{Committed: s.log.CommittedSeq(), WallNanos: now.UnixNano()})
 			if err != nil {
 				return
 			}
-		} else {
-			select {
-			case <-stop:
-				return
-			case <-time.After(s.opt.Poll):
-			}
-			continue
 		}
 		c.SetWriteDeadline(now.Add(s.opt.WriteTimeout))
 		if _, err := c.Write(frame); err != nil {
 			return
 		}
-		lastSend = now
+		// Any frame restarts the idle clock: the next heartbeat is due one
+		// Heartbeat after the last send.
+		if !hb.Stop() {
+			select {
+			case <-hb.C:
+			default:
+			}
+		}
+		hb.Reset(s.opt.Heartbeat)
 	}
 }
 
@@ -579,7 +602,9 @@ func (s *Server) Status() ServerStatus {
 
 // WritePrometheus appends the replication series in Prometheus text
 // exposition format: connected-follower count, checkpoint sends, handshake
-// rejects, and per-follower applied/lag gauges labeled by remote address.
+// rejects, per-follower applied/lag gauges labeled by remote address, the
+// semi-sync state and counters, and the histogram of blocking semi-sync
+// commit waits.
 func (s *Server) WritePrometheus(w io.Writer) error {
 	st := s.Status()
 	var err error
@@ -618,5 +643,8 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p("# TYPE pskyline_repl_semisync_waits_total counter\npskyline_repl_semisync_waits_total %d\n", st.Waits)
 	p("# TYPE pskyline_repl_semisync_wait_timeouts_total counter\npskyline_repl_semisync_wait_timeouts_total %d\n", st.WaitTimeouts)
 	p("# TYPE pskyline_repl_semisync_shortfalls_total counter\npskyline_repl_semisync_shortfalls_total %d\n", st.Shortfalls)
-	return err
+	if err != nil {
+		return err
+	}
+	return s.metrics.WritePrometheus(w)
 }

@@ -162,6 +162,7 @@ type WAL struct {
 	flushFails   int
 	stopFlush    chan struct{}
 	flushDone    chan struct{}
+	commitCh     chan struct{} // closed on the next committed-prefix advance (CommitNotify); nil when nobody waits
 
 	stateA    atomic.Int32
 	lastFault atomic.Pointer[error]
@@ -505,7 +506,42 @@ func (w *WAL) writePendingOnceLocked() error {
 	w.met.SizeBytes.Set(float64(w.total))
 	w.pending = w.pending[:0]
 	w.pendingRecs = 0
+	w.notifyCommitLocked()
 	return nil
+}
+
+// CommitNotify returns a channel that closes the next time the committed
+// prefix advances — a Commit, Sync, background flush or Retry repair that
+// puts pending records on disk — and on Close or Abort, so no waiter is
+// stranded. A channel taken after Close
+// is already closed. Tail followers take the channel before reading the
+// log and block on it once drained: a commit landing between the read and
+// the wait still closes the channel they hold.
+func (w *WAL) CommitNotify() <-chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.commitCh == nil {
+		w.commitCh = make(chan struct{})
+	}
+	return w.commitCh
+}
+
+// notifyCommitLocked wakes every CommitNotify waiter. The channel is
+// allocated lazily by CommitNotify, so a log nobody follows pays nothing.
+func (w *WAL) notifyCommitLocked() {
+	if w.commitCh != nil && !w.closed {
+		close(w.commitCh)
+		w.commitCh = nil
+	}
+}
+
+// closeNotifyLocked wakes CommitNotify waiters for good at Close/Abort: the
+// channel is left closed, so every later CommitNotify returns at once.
+func (w *WAL) closeNotifyLocked() {
+	if w.commitCh == nil {
+		w.commitCh = make(chan struct{})
+	}
+	close(w.commitCh)
 }
 
 // fsyncOnceLocked makes one fsync attempt on the active segment.
@@ -885,6 +921,7 @@ func (w *WAL) Close() error {
 	if w.err == nil {
 		w.err = ErrClosed
 	}
+	w.closeNotifyLocked()
 	if firstErr != nil {
 		return fmt.Errorf("wal: close: %w", firstErr)
 	}
@@ -912,6 +949,7 @@ func (w *WAL) Abort() {
 	if w.err == nil {
 		w.err = ErrClosed
 	}
+	w.closeNotifyLocked()
 }
 
 func (w *WAL) stopFlusher() {

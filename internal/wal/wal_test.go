@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -482,4 +483,143 @@ func TestIntervalFlusher(t *testing.T) {
 	if err := w.AppendElement(99, []float64{1, 2}, 0.5, 0); err == nil {
 		t.Fatal("append after close succeeded")
 	}
+}
+
+// closedWithin reports whether ch closes within d.
+func closedWithin(ch <-chan struct{}, d time.Duration) bool {
+	select {
+	case <-ch:
+		return true
+	case <-time.After(d):
+		return false
+	}
+}
+
+// isClosed reports whether ch is already closed.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestCommitNotify pins the commit broadcast replication tail-followers
+// block on: it fires on every advance of the committed prefix (Commit, a
+// Retry repair), never on an empty Commit, and releases waiters for good on
+// Close and Abort.
+func TestCommitNotify(t *testing.T) {
+	t.Run("commit", func(t *testing.T) {
+		w, _, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		ch := w.CommitNotify()
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if isClosed(ch) {
+			t.Fatal("empty Commit closed the channel")
+		}
+		if err := w.AppendElement(0, []float64{1, 2}, 0.5, 0); err != nil {
+			t.Fatal(err)
+		}
+		if isClosed(ch) {
+			t.Fatal("an uncommitted append closed the channel")
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if !isClosed(ch) {
+			t.Fatal("non-empty Commit left the channel open")
+		}
+		if next := w.CommitNotify(); isClosed(next) {
+			t.Fatal("the channel after a commit is already closed")
+		}
+	})
+
+	t.Run("retry-repair", func(t *testing.T) {
+		fi := vfs.NewFault(vfs.OS{}, 1)
+		w := openFault(t, t.TempDir(), fi, Retry)
+		appendN(t, w, 0, 5, 2, 5, 1)
+		ch := w.CommitNotify()
+		fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: 1, Err: syscall.EIO, Partial: 7})
+		appendN(t, w, 5, 5, 2, 5, 2)
+		if w.met.Retries.Load() == 0 || fi.Errors(vfs.OpWrite) != 1 {
+			t.Fatalf("the write never failed: %d retries, %d injected errors",
+				w.met.Retries.Load(), fi.Errors(vfs.OpWrite))
+		}
+		if !isClosed(ch) {
+			t.Fatal("a commit repaired by Retry left the channel open")
+		}
+	})
+
+	for _, end := range []string{"close", "abort"} {
+		t.Run(end, func(t *testing.T) {
+			w, _, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch := w.CommitNotify()
+			if end == "close" {
+				w.Close()
+			} else {
+				w.Abort()
+			}
+			if !isClosed(ch) {
+				t.Fatalf("%s stranded a waiter", end)
+			}
+			if !isClosed(w.CommitNotify()) {
+				t.Fatalf("a channel taken after %s is open", end)
+			}
+		})
+	}
+
+	t.Run("concurrent", func(t *testing.T) {
+		w, _, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		const n = 2000
+		done := make(chan error, 1)
+		go func() {
+			rng := rand.New(rand.NewSource(3))
+			for seq := uint64(0); seq < n; seq++ {
+				pt, p, ts := testElem(rng, 2)
+				if err := w.AppendElement(seq, pt, p, ts); err != nil {
+					done <- err
+					return
+				}
+				if err := w.Commit(); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		// The follower pattern: take the channel, then read the watermark,
+		// then block. A commit between the read and the block must still
+		// wake the loop, or it hangs once the appender stops.
+		var last uint64
+		for last < n {
+			ch := w.CommitNotify()
+			seq := w.CommittedSeq()
+			if seq < last {
+				t.Fatalf("watermark went backwards: %d after %d", seq, last)
+			}
+			last = seq
+			if last >= n {
+				break
+			}
+			if !closedWithin(ch, 5*time.Second) {
+				t.Fatalf("waiter missed a commit: stuck at %d of %d", last, n)
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	})
 }
