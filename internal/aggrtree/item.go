@@ -55,6 +55,17 @@ type Item struct {
 	// freed marks an item sitting in an ItemPool freelist; attachItem and
 	// CheckInvariants reject freed items.
 	freed bool
+
+	// Read-view publication bookkeeping, owned by the view publisher: the
+	// band and rank the item held in the last view that rebuilt its band,
+	// the skyline probability factor it was published with, and one
+	// immutable heap clone of Point shared by every published copy. pubRank
+	// stores rank+1, so the zero value means "never published" and items
+	// built by NewItem, bulk-load or restore need no setup.
+	pubBand  int32
+	pubRank  int32
+	pubPsky  prob.Factor
+	pubPoint geom.Point
 }
 
 // NewItem returns an item with Pnew = Pold = 1 for an element arriving with
@@ -94,6 +105,33 @@ func (it *Item) Leaf() *Node { return it.leaf }
 // Freed reports whether the item sits in a pool freelist (use-after-free
 // diagnostic).
 func (it *Item) Freed() bool { return it.freed }
+
+// Published reports the band, rank and skyline probability factor the item
+// was last published with; ok is false for an item never published.
+func (it *Item) Published() (band, rank int, psky prob.Factor, ok bool) {
+	return int(it.pubBand), int(it.pubRank) - 1, it.pubPsky, it.pubRank > 0
+}
+
+// SetPublished records that the item was published at rank in band with
+// skyline probability factor psky.
+func (it *Item) SetPublished(band, rank int, psky prob.Factor) {
+	it.pubBand, it.pubRank, it.pubPsky = int32(band), int32(rank+1), psky
+}
+
+// PublishedPoint returns an immutable heap clone of the item's point, made
+// on the first call and shared by every later one. Published views hold it
+// after the item leaves the window and its coordinate storage is recycled.
+func (it *Item) PublishedPoint() geom.Point {
+	if it.pubPoint == nil {
+		it.pubPoint = it.Point.Clone()
+	}
+	return it.pubPoint
+}
+
+// clearPublished resets the publication bookkeeping to "never published".
+func (it *Item) clearPublished() {
+	it.pubBand, it.pubRank, it.pubPsky, it.pubPoint = 0, 0, prob.One(), nil
+}
 
 // Rect returns the degenerate bounding box of the item's point.
 func (it *Item) Rect() geom.Rect { return geom.PointRect(it.Point) }

@@ -113,6 +113,9 @@ func (p *NodePool) put(n *Node) {
 	p.free = append(p.free, n)
 }
 
+// poisonPoint is the published-point clone a poisoned freed item carries.
+var poisonPoint = geom.Point{math.NaN()}
+
 // ItemPool is a freelist of items.
 type ItemPool struct {
 	free []*Item
@@ -146,6 +149,7 @@ func (p *ItemPool) Get(pt geom.Point, pr float64, seq uint64) *Item {
 	it.pf = prob.FromFloat(pr)
 	it.oneMin = prob.OneMinus(pr)
 	it.leaf = nil
+	it.clearPublished()
 	return it
 }
 
@@ -162,12 +166,17 @@ func (p *ItemPool) Put(it *Item) geom.Point {
 	pt := it.Point
 	it.freed = true
 	it.Point = nil
+	it.clearPublished()
 	if poisonMode {
 		it.P = math.NaN()
 		it.Seq = ^uint64(0)
 		it.Pnew, it.Pold = prob.Zero(), prob.Zero()
 		it.pf, it.oneMin = prob.Zero(), prob.Zero()
 		it.Band = -1
+		// A stale "published at rank 0 of band 0" record with a NaN point
+		// clone: reused without a reset, it corrupts the next view.
+		it.pubBand, it.pubRank, it.pubPsky = 0, 1, prob.Zero()
+		it.pubPoint = poisonPoint
 	}
 	if p != nil {
 		p.free = append(p.free, it)

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pskyline/internal/aggrtree"
 	"pskyline/internal/geom"
@@ -30,10 +31,26 @@ func resultOf(it *aggrtree.Item, pnew, pold prob.Factor) Result {
 		Point: it.Point.Clone(),
 		P:     it.P,
 		TS:    it.TS,
-		Psky:  it.PF().Times(pnew).Times(pold).Float(),
+		Psky:  pskyOf(it, pnew, pold).Float(),
 		Pnew:  pnew.Float(),
 		Pold:  pold.Float(),
 	}
+}
+
+// pskyOf is the item's skyline probability P·Pnew·Pold given its
+// lazy-resolved Pnew and Pold. Every reported Psky is multiplied in this one
+// order, so equal factors always yield equal float64 values.
+func pskyOf(it *aggrtree.Item, pnew, pold prob.Factor) prob.Factor {
+	return it.PF().Times(pnew).Times(pold)
+}
+
+// compareResults orders results by descending skyline probability, ties
+// broken by ascending sequence number: the order of Query and BandResults.
+func compareResults(a, b Result) int {
+	if c := cmp.Compare(b.Psky, a.Psky); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // Skyline returns the current q_1-skyline: every element whose skyline
@@ -78,12 +95,7 @@ func (e *Engine) Query(qPrime float64) ([]Result, error) {
 		}
 		out = filterScan(tr.Root(), prob.One(), prob.One(), qq, out)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Psky != out[b].Psky {
-			return out[a].Psky > out[b].Psky
-		}
-		return out[a].Seq < out[b].Seq
-	})
+	slices.SortFunc(out, compareResults)
 	return out, nil
 }
 
@@ -102,7 +114,7 @@ func filterScan(n *aggrtree.Node, accNew, accOld prob.Factor, qq prob.Factor, ou
 		for _, it := range n.Items() {
 			pnew := it.Pnew.Times(accNew)
 			pold := it.Pold.Over(accOld)
-			if it.PF().Times(pnew).Times(pold).AtLeast(qq) {
+			if pskyOf(it, pnew, pold).AtLeast(qq) {
 				out = append(out, resultOf(it, pnew, pold))
 			}
 		}
@@ -205,7 +217,7 @@ func (e *Engine) TopK(k int, minQ float64) ([]Result, error) {
 			for _, it := range n.Items() {
 				pnew := it.Pnew.Times(accNew)
 				pold := it.Pold.Over(accOld)
-				psky := it.PF().Times(pnew).Times(pold)
+				psky := pskyOf(it, pnew, pold)
 				heap.Push(h, pqEntry{score: psky, it: it, result: resultOf(it, pnew, pold)})
 			}
 			continue
@@ -233,7 +245,7 @@ func (e *Engine) Candidates() []Result {
 			return true
 		})
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
+	slices.SortFunc(out, func(a, b Result) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
@@ -242,5 +254,17 @@ func (e *Engine) Candidates() []Result {
 func (e *Engine) WalkBand(i int, fn func(Result) bool) {
 	e.trees[i].WalkItems(func(it *aggrtree.Item, pnew, pold prob.Factor) bool {
 		return fn(resultOf(it, pnew, pold))
+	})
+}
+
+// WalkBandPsky visits every element of threshold band i with its exact
+// skyline probability as a factor, multiplied in the same order as
+// Result.Psky, so an unchanged factor means an unchanged Result.Psky. Unlike
+// WalkBand it builds no Result: no point clone, no exponentials. It never
+// modifies aggregate information; fn must not mutate the engine.
+func (e *Engine) WalkBandPsky(i int, fn func(it *aggrtree.Item, psky prob.Factor)) {
+	e.trees[i].WalkItems(func(it *aggrtree.Item, pnew, pold prob.Factor) bool {
+		fn(it, pskyOf(it, pnew, pold))
+		return true
 	})
 }

@@ -41,7 +41,7 @@ func (e *Engine) AddThreshold(q float64) error {
 
 	var promote []*aggrtree.Item
 	split.WalkItems(func(it *aggrtree.Item, pnew, pold prob.Factor) bool {
-		if it.PF().Times(pnew).Times(pold).AtLeast(qq) {
+		if pskyOf(it, pnew, pold).AtLeast(qq) {
 			promote = append(promote, it)
 		}
 		return true

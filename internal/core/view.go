@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 )
 
 // Band generations and view extraction.
@@ -17,7 +17,11 @@ import (
 // the result and reuse it for as long as BandGen reports the same value:
 // an unchanged generation guarantees the cached slice is byte-for-byte what
 // a fresh extraction would produce. This is the contract the pskyline
-// package's copy-on-write read views are built on.
+// package's copy-on-write read views are built on. A band whose generation
+// did change is rebuilt there from its previous version with WalkBandPsky
+// (only elements whose skyline probability factor changed are re-sorted);
+// BandResults stays the from-scratch oracle those rebuilds are tested
+// against.
 //
 // By Theorem 4 (candidate-set sufficiency), the extracted bands together
 // hold exactly S_{N,q_k}, which suffices to answer the continuous skyline,
@@ -56,11 +60,6 @@ func (e *Engine) BandResults(i int) []Result {
 		out = append(out, r)
 		return true
 	})
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Psky != out[b].Psky {
-			return out[a].Psky > out[b].Psky
-		}
-		return out[a].Seq < out[b].Seq
-	})
+	slices.SortFunc(out, compareResults)
 	return out
 }

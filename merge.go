@@ -1,7 +1,8 @@
 package pskyline
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"pskyline/internal/core"
 	"pskyline/internal/geom"
@@ -66,7 +67,7 @@ func mergeCandidateViews(parts []*View) *View {
 			cands = append(cands, b...)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Seq < cands[j].Seq })
+	slices.SortFunc(cands, func(x, y SkyPoint) int { return cmp.Compare(x.Seq, y.Seq) })
 
 	// Pass 1 — Pnew over the union: for each candidate, the product of
 	// (1 − P) over its newer dominators in the union, factors in ascending
@@ -124,12 +125,7 @@ func mergeCandidateViews(parts []*View) *View {
 	// Band order: descending skyline probability, ties by ascending
 	// sequence — the order core.BandResults produces.
 	for b := range bands {
-		sort.Slice(bands[b], func(i, j int) bool {
-			if bands[b][i].Psky != bands[b][j].Psky {
-				return bands[b][i].Psky > bands[b][j].Psky
-			}
-			return bands[b][i].Seq < bands[b][j].Seq
-		})
+		slices.SortFunc(bands[b], func(x, y SkyPoint) int { return bandOrder(x.Psky, x.Seq, y.Psky, y.Seq) })
 	}
 
 	return &View{

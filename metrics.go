@@ -27,6 +27,12 @@ type monMetrics struct {
 
 	publishGap obs.Histogram // interval between consecutive publications
 
+	// Band elements a publication copied verbatim from the previous view
+	// (viewReused) and ones it rebuilt and sorted (viewResorted): rebuild
+	// cost tracks the latter, not the candidate set size.
+	viewReused   obs.Counter
+	viewResorted obs.Counter
+
 	// Ingest-to-visibility latency (Options.Latency): admission → engine
 	// applied and admission → view publish, in windowed histograms whose
 	// recent quantiles cover the last epoch window rather than process
@@ -146,6 +152,8 @@ func (m *Monitor) buildRegistry() {
 	counter("pskyline_skyline_enters_total", "Elements entering the q_1-skyline.", &mm.enters)
 	counter("pskyline_skyline_leaves_total", "Elements leaving the q_1-skyline.", &mm.leaves)
 	counter("pskyline_view_publishes_total", "Read view publications.", &mm.publishes)
+	counter("pskyline_view_elems_reused_total", "Band elements carried verbatim from the previous view by a publication's rank-merge.", &mm.viewReused)
+	counter("pskyline_view_elems_resorted_total", "Band elements a publication rebuilt and sorted because their skyline probability changed or they were never published.", &mm.viewResorted)
 
 	gaugeFn("pskyline_candidates", "Current candidate set size |S_{N,q_k}|.", u(&mm.candidates))
 	gaugeFn("pskyline_skyline_size", "Current q_1-skyline size |SKY_{N,q_1}|.", u(&mm.skyline))
@@ -293,6 +301,11 @@ type Metrics struct {
 	// of the most recent one.
 	ViewPublishes uint64
 	LastPublish   time.Time
+	// ViewElemsReused and ViewElemsResorted count, over all publications,
+	// the band elements copied verbatim from the previous view and those
+	// rebuilt and sorted because their skyline probability changed (or
+	// were never published). Publication cost tracks the second, not |S|.
+	ViewElemsReused, ViewElemsResorted uint64
 	// WindowFill is the number of elements currently inside the window.
 	WindowFill int
 	// MeanProb is the mean occurrence probability of pushed elements.
@@ -361,6 +374,8 @@ func (m *Monitor) Metrics() Metrics {
 		SkylineEnters:        mm.enters.Load(),
 		SkylineLeaves:        mm.leaves.Load(),
 		ViewPublishes:        mm.publishes.Load(),
+		ViewElemsReused:      mm.viewReused.Load(),
+		ViewElemsResorted:    mm.viewResorted.Load(),
 		WindowFill:           int(mm.windowFill.Load()),
 		MeanProb:             mm.meanProb(),
 		TheorySkylineBound:   m.theorySkylineBound(),

@@ -3,6 +3,7 @@ package pskyline_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -166,4 +167,61 @@ func TestMonitorExporters(t *testing.T) {
 	if _, ok := js["pskyline_stage_seconds"]; !ok {
 		t.Error("JSON output missing pskyline_stage_seconds")
 	}
+}
+
+// TestViewElemCounters checks the rank-merge publication counters: a cold
+// publish (a threshold change renumbers every band) re-sorts the whole
+// candidate set, steady-state pushes mostly reuse the previous view, and
+// both counters are exported on /metrics with the Metrics() values.
+func TestViewElemCounters(t *testing.T) {
+	m := mustMonitor(t, pskyline.Options{
+		Dims: 3, Window: 512, Thresholds: []float64{0.3},
+	})
+	defer m.Close()
+	els := genElements(31, 3000, 3, true)
+	for _, e := range els[:2000] {
+		if _, err := m.Push(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	before := m.Metrics()
+	if err := m.AddThreshold(0.6); err != nil {
+		t.Fatal(err)
+	}
+	after := m.Metrics()
+	if got, want := after.ViewElemsResorted-before.ViewElemsResorted, uint64(m.View().NumCandidates()); got != want {
+		t.Errorf("cold publish re-sorted %d elements, want every candidate (%d)", got, want)
+	}
+	if got := after.ViewElemsReused - before.ViewElemsReused; got != 0 {
+		t.Errorf("cold publish reused %d elements, want 0", got)
+	}
+
+	for _, e := range els[2000:] {
+		if _, err := m.Push(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	met := m.Metrics()
+	reused := met.ViewElemsReused - after.ViewElemsReused
+	resorted := met.ViewElemsResorted - after.ViewElemsResorted
+	if resorted == 0 || reused < 5*resorted {
+		t.Errorf("steady state: %d elements reused, %d re-sorted; want reuse to dominate", reused, resorted)
+	}
+
+	var prom bytes.Buffer
+	if err := m.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE pskyline_view_elems_reused_total counter",
+		fmt.Sprintf("pskyline_view_elems_reused_total %d\n", met.ViewElemsReused),
+		"# TYPE pskyline_view_elems_resorted_total counter",
+		fmt.Sprintf("pskyline_view_elems_resorted_total %d\n", met.ViewElemsResorted),
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("Prometheus output missing %q", want)
+		}
+	}
+	t.Logf("steady state: reused %d, re-sorted %d", reused, resorted)
 }

@@ -34,14 +34,18 @@
 package pskyline
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"pskyline/internal/aggrtree"
 	"pskyline/internal/core"
 	"pskyline/internal/geom"
 	"pskyline/internal/obs"
+	"pskyline/internal/prob"
 	"pskyline/internal/vfs"
 	"pskyline/internal/wal"
 )
@@ -188,7 +192,7 @@ type Options struct {
 // obtains a view containing element a, it also observes every effect of the
 // writes up to and including a's ingestion.
 type Monitor struct {
-	mu     sync.Mutex // guards eng, data, topk, lastGens
+	mu     sync.Mutex // guards eng, data, topk, lastGens, publish scratch
 	eng    *core.Engine
 	data   map[uint64]any
 	period int64
@@ -198,6 +202,11 @@ type Monitor struct {
 
 	view     atomic.Pointer[View]
 	lastGens []uint64 // engine band generations at last publish
+
+	// Rank-merge scratch for extractBandLocked, guarded by mu: the kept
+	// items indexed by previous rank, and the changed elements.
+	pubKeep    []*aggrtree.Item
+	pubChanged []pubElem
 
 	batch []core.BatchElem // scratch for batch ingestion, guarded by mu
 
@@ -636,23 +645,35 @@ func (m *Monitor) refreshTopKLocked() {
 // and swaps it in for readers. Bands whose generation counter is unchanged
 // since the previous publication are reused from the previous view
 // (copy-on-write): the engine guarantees an unchanged generation means a
-// byte-identical extraction. Callers hold m.mu.
+// byte-identical extraction. Every other band is rank-merged from its
+// previous version by extractBandLocked. Callers hold m.mu.
 func (m *Monitor) publishLocked() {
 	ths := m.eng.Thresholds()
 	nb := len(ths) + 1
-	prev := m.view.Load()
-	reuse := prev != nil && len(prev.bands) == nb && len(m.lastGens) == nb
+	var prevBands [][]SkyPoint
+	if prev := m.view.Load(); prev != nil && len(prev.bands) == nb && len(m.lastGens) == nb {
+		prevBands = prev.bands
+	} else {
+		m.lastGens = make([]uint64, nb)
+	}
 	bands := make([][]SkyPoint, nb)
-	gens := make([]uint64, nb)
-	for i := 0; i < nb; i++ {
-		gens[i] = m.eng.BandGen(i)
-		if reuse && m.lastGens[i] == gens[i] {
-			bands[i] = prev.bands[i]
+	var reused, rebuilt int
+	for i := range bands {
+		gen := m.eng.BandGen(i)
+		if prevBands != nil && m.lastGens[i] == gen {
+			bands[i] = prevBands[i]
 			continue
 		}
-		bands[i] = m.extractBandLocked(i)
+		var prevBand []SkyPoint
+		if prevBands != nil {
+			prevBand = prevBands[i]
+		}
+		var kept int
+		bands[i], kept = m.extractBandLocked(i, prevBand)
+		reused += kept
+		rebuilt += len(bands[i])
+		m.lastGens[i] = gen
 	}
-	m.lastGens = gens
 	m.view.Store(&View{
 		processed:  m.eng.Processed(),
 		thresholds: ths,
@@ -666,25 +687,93 @@ func (m *Monitor) publishLocked() {
 		},
 		counters: m.eng.Counters(),
 	})
+	m.met.viewReused.Add(uint64(reused))
+	m.met.viewResorted.Add(uint64(rebuilt - reused))
 	m.met.mirrorLocked(m.eng, m.probSum, m.probCount)
 }
 
-// extractBandLocked copies threshold band i out of the engine, attaching
-// payloads. Callers hold m.mu.
-func (m *Monitor) extractBandLocked(i int) []SkyPoint {
-	rs := m.eng.BandResults(i)
-	out := make([]SkyPoint, len(rs))
-	for j, r := range rs {
-		out[j] = SkyPoint{
-			Seq:   r.Seq,
-			Point: r.Point,
-			Prob:  r.P,
-			Psky:  r.Psky,
-			TS:    r.TS,
-			Data:  m.data[r.Seq],
+// pubElem is a band element whose skyline probability changed since it was
+// last published, or that was never published: the item, the factor it is
+// published with, and its sort key (Psky as reported, Seq).
+type pubElem struct {
+	it   *aggrtree.Item
+	psky prob.Factor
+	sky  float64
+	seq  uint64
+}
+
+// extractBandLocked rebuilds threshold band i from prev, the band's
+// previous published version (nil on a cold publish: first view, restore,
+// threshold renumbering). It walks the band once:
+//
+//   - an element published in prev with the same skyline probability factor
+//     it has now keeps its SkyPoint verbatim (point clone, Psky, payload),
+//     in its previous rank order — any subset of a sorted band is sorted;
+//   - every other element is sorted by (Psky desc, Seq asc), given a fresh
+//     SkyPoint and merged in linearly.
+//
+// The band equals a from-scratch core.BandResults extraction with payloads
+// attached; kept counts the elements carried over from prev. Each element's
+// publication record is updated to its new rank. Callers hold m.mu.
+func (m *Monitor) extractBandLocked(i int, prev []SkyPoint) (band []SkyPoint, kept int) {
+	keep := slices.Grow(m.pubKeep[:0], len(prev))[:len(prev)]
+	changed := slices.Grow(m.pubChanged[:0], m.eng.BandSize(i))
+	m.eng.WalkBandPsky(i, func(it *aggrtree.Item, psky prob.Factor) {
+		// A record always comes from the last rebuild of a band holding
+		// the item: a rebuild re-records all its elements, and a move
+		// between bands advances both bands' generations, so both are
+		// rebuilt by the same publish. So (i, r) is this item's SkyPoint
+		// in prev.
+		if b, r, f, ok := it.Published(); ok && b == i && f == psky && r < len(prev) {
+			keep[r] = it
+			kept++
+			return
 		}
+		changed = append(changed, pubElem{it: it, psky: psky, sky: psky.Float(), seq: it.Seq})
+	})
+	slices.SortFunc(changed, func(a, b pubElem) int { return bandOrder(a.sky, a.seq, b.sky, b.seq) })
+
+	out := make([]SkyPoint, 0, kept+len(changed))
+	emit := func(e *pubElem) {
+		e.it.SetPublished(i, len(out), e.psky)
+		out = append(out, SkyPoint{
+			Seq:   e.seq,
+			Point: e.it.PublishedPoint(),
+			Prob:  e.it.P,
+			Psky:  e.sky,
+			TS:    e.it.TS,
+			Data:  m.data[e.seq],
+		})
 	}
-	return out
+	c := 0
+	for r, it := range keep {
+		if it == nil {
+			continue
+		}
+		for ; c < len(changed) && bandOrder(changed[c].sky, changed[c].seq, prev[r].Psky, prev[r].Seq) < 0; c++ {
+			emit(&changed[c])
+		}
+		_, _, psky, _ := it.Published()
+		it.SetPublished(i, len(out), psky)
+		out = append(out, prev[r])
+	}
+	for ; c < len(changed); c++ {
+		emit(&changed[c])
+	}
+	// Drop the scratch's item references before keeping it.
+	clear(keep)
+	clear(changed)
+	m.pubKeep, m.pubChanged = keep[:0], changed[:0]
+	return out, kept
+}
+
+// bandOrder orders band entries by descending skyline probability, ties
+// broken by ascending sequence number: core.BandResults' order.
+func bandOrder(pskyA float64, seqA uint64, pskyB float64, seqB uint64) int {
+	if c := cmp.Compare(pskyB, pskyA); c != 0 {
+		return c
+	}
+	return cmp.Compare(seqA, seqB)
 }
 
 func (m *Monitor) results(rs []core.Result) []SkyPoint {
