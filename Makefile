@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race bench-concurrent bench bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery load-smoke repl-smoke semisync-smoke bench-repl bench-latency ci
+.PHONY: build vet lint test race bench-concurrent bench bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery ingest-smoke load-smoke repl-smoke semisync-smoke bench-repl bench-latency ci
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,13 @@ shard-smoke:
 bench-recovery:
 	bash scripts/recovery_smoke.sh
 
+# Ingestion benchmark smoke: one short -ingest run through every write path
+# (push, looped-push, pushbatch, shardpush, walpush, replpush, ...) into a
+# temporary file, failing unless every row is printed. Never writes
+# BENCH_ingest.json and gates on no timing.
+ingest-smoke:
+	bash scripts/ingest_smoke.sh
+
 # End-to-end load-harness smoke test: a short fixed-rate open-loop pskyload
 # sweep against a serve-mode host over HTTP plus an in-process sweep (with
 # the instrumentation-off control), asserting complete accounting and that
@@ -117,4 +124,4 @@ bench-latency:
 	$(GO) run ./cmd/pskyload -mode sharded -batch 16 -rates 5000,10000,20000 -out BENCH_latency.json -label "$(BENCH_LABEL)-sharded"
 	$(GO) run ./cmd/pskyload -mode sync -no-latency -rates 10000 -out BENCH_latency.json -label "$(BENCH_LABEL)-control"
 
-ci: build lint test race bench-concurrent bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery load-smoke repl-smoke semisync-smoke
+ci: build lint test race bench-concurrent bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery ingest-smoke load-smoke repl-smoke semisync-smoke

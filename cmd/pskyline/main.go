@@ -80,7 +80,8 @@ import (
 	"pskyline/internal/repl"
 )
 
-// config collects the parsed command line so tests can drive run directly.
+// config collects the parsed command line (see bindFlags) so tests can
+// drive run directly.
 type config struct {
 	dims        int
 	window      int
@@ -117,78 +118,86 @@ type config struct {
 	replAckWait   time.Duration
 	replFault     string
 	replFaultSeed int64
+	version       bool // -version: print the build stamp and exit
 	// stop overrides the serve-mode shutdown trigger (nil = OS signals);
 	// tests close it to unblock run without sending a signal.
 	stop <-chan struct{}
 }
 
 func main() {
-	var (
-		dims     = flag.Int("dims", 2, "dimensionality of the input points")
-		window   = flag.Int("window", 100000, "count-based sliding window size")
-		period   = flag.Int64("period", 0, "time-based window period (overrides -window; input must carry timestamps)")
-		qList    = flag.String("q", "0.3", "comma-separated probability thresholds")
-		snapshot = flag.Int("snapshot", 0, "print a skyline snapshot every N elements instead of events")
-		summary  = flag.Bool("summary", false, "print only final statistics")
-		file     = flag.String("f", "", "input file (default stdin)")
-		ckpt     = flag.String("checkpoint", "", "checkpoint file: loaded at start if present, written at exit")
-		batch    = flag.Int("batch", 1, "ingest the stream in batches of this many elements")
-		async    = flag.Int("async", 0, "route ingestion through a bounded async queue of this capacity (0 = synchronous)")
-		asyncPol = flag.String("async-policy", "block", "full async queue response: block (backpressure), drop-newest or drop-oldest")
-		httpAddr = flag.String("http", "", "serve /metrics, /healthz, /debug/skyline and /debug/pprof on this address (e.g. :8080); the process then stays up after EOF until SIGINT/SIGTERM")
-		shards   = flag.Int("shards", 1, "partition the window across this many single-writer engines with an exact merged query surface")
-		router   = flag.String("router", "grid", "shard router: grid (spatial cells) or band (probability bands)")
-		streams  = flag.String("streams", "", "multi-tenant mode: ';'-separated stream specs name:dims=..,window=..,q=..[,shards=..][,wal=on]; requires -http, disables stdin ingestion")
-		walDir   = flag.String("wal", "", "durability directory: write-ahead log + checkpoints; recovers existing state at start")
-		walFsync = flag.String("wal-fsync", "interval", "WAL commit durability: always, interval or never")
-		walPol   = flag.String("wal-policy", "failstop", "durability failure response: failstop, retry or shed")
-		walSegMB = flag.Int("wal-segment-mb", 0, "WAL segment rotation threshold in MiB (0 = default 64)")
-		walEvery = flag.Int("wal-checkpoint-every", 0, "install a checkpoint every N ingested elements (0 = default, negative = only at exit)")
-		walFault = flag.String("wal-fault", "", "chaos testing: seeded fault schedule for the durability filesystem (e.g. \"sync:after=40:times=3;write:partial=7\")")
-		walFSeed = flag.Int64("wal-fault-seed", 0, "seed for probabilistic -wal-fault rules (0 = 1)")
-		noLat    = flag.Bool("no-latency", false, "disable ingest-to-visibility latency tracking and the flight recorder (instrumentation-off control)")
-		slowThr  = flag.Duration("slow-threshold", 0, "latch writes at or above this admission-to-visibility latency into the flight recorder's slow ring (0 = default 5ms)")
-		latEpoch = flag.Duration("latency-epoch", 0, "rotation interval of the windowed latency histograms; recent quantiles cover 6 epochs (0 = default 10s)")
-		replLis  = flag.String("replicate-listen", "", "primary mode: stream the WAL to read-only replicas on this address (requires -wal, single engine)")
-		replOf   = flag.String("replica-of", "", "replica mode: follow the primary replicating on this address (requires -wal and -http; stdin is not read)")
-		promote  = flag.String("promote", "", "promote the replica serving HTTP on this address to a writable primary, then exit")
-		replSemK = flag.Int("repl-semisync-k", 0, "semi-sync replication: block each push until this many followers ack it, degrading to async when the quorum cannot keep up (0 = async)")
-		replAckW = flag.Duration("repl-ack-wait", 0, "semi-sync ack deadline before a push stops waiting and the stream degrades (0 = default 1s)")
-		replFlt  = flag.String("repl-fault", "", "chaos testing: seeded fault schedule for replication connections (e.g. \"write:p=0.1:err=reset;read:delay=20ms\")")
-		replFSed = flag.Int64("repl-fault-seed", 0, "seed for probabilistic -repl-fault rules (0 = 1)")
-		version  = flag.Bool("version", false, "print build information and exit")
-	)
+	var cfg config
+	bindFlags(flag.CommandLine, &cfg)
 	flag.Parse()
-	if *version {
+	if cfg.version {
 		fmt.Println(build.String())
 		return
-	}
-
-	var thresholds []float64
-	for _, s := range strings.Split(*qList, ",") {
-		q, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			fatal("bad threshold %q: %v", s, err)
-		}
-		thresholds = append(thresholds, q)
-	}
-
-	cfg := config{
-		dims: *dims, window: *window, period: *period, thresholds: thresholds,
-		snapshot: *snapshot, summary: *summary, file: *file, ckpt: *ckpt,
-		batch: *batch, async: *async, asyncPolicy: *asyncPol, httpAddr: *httpAddr,
-		shards: *shards, router: *router, streams: *streams,
-		noLatency: *noLat, slowThreshold: *slowThr, latencyEpoch: *latEpoch,
-		walDir: *walDir, walFsync: *walFsync, walPolicy: *walPol,
-		walSegmentMB: *walSegMB, walCkptEvery: *walEvery,
-		walFault: *walFault, walFaultSeed: *walFSeed,
-		replListen: *replLis, replicaOf: *replOf, promote: *promote,
-		replSemiK: *replSemK, replAckWait: *replAckW,
-		replFault: *replFlt, replFaultSeed: *replFSed,
 	}
 	if err := run(cfg, os.Stdin, os.Stdout, os.Stderr); err != nil {
 		fatal("%v", err)
 	}
+}
+
+// bindFlags registers every command-line flag on fs, bound straight into
+// the matching cfg field; registration stores each flag's default there.
+func bindFlags(fs *flag.FlagSet, cfg *config) {
+	fs.IntVar(&cfg.dims, "dims", 2, "dimensionality of the input points")
+	fs.IntVar(&cfg.window, "window", 100000, "count-based sliding window size")
+	fs.Int64Var(&cfg.period, "period", 0, "time-based window period (overrides -window; input must carry timestamps)")
+	cfg.thresholds = []float64{0.3}
+	fs.Var((*thresholdList)(&cfg.thresholds), "q", "comma-separated probability thresholds")
+	fs.IntVar(&cfg.snapshot, "snapshot", 0, "print a skyline snapshot every N elements instead of events")
+	fs.BoolVar(&cfg.summary, "summary", false, "print only final statistics")
+	fs.StringVar(&cfg.file, "f", "", "input file (default stdin)")
+	fs.StringVar(&cfg.ckpt, "checkpoint", "", "checkpoint file: loaded at start if present, written at exit")
+	fs.IntVar(&cfg.batch, "batch", 1, "ingest the stream in batches of this many elements")
+	fs.IntVar(&cfg.async, "async", 0, "route ingestion through a bounded async queue of this capacity (0 = synchronous)")
+	fs.StringVar(&cfg.asyncPolicy, "async-policy", "block", "full async queue response: block (backpressure), drop-newest or drop-oldest")
+	fs.StringVar(&cfg.httpAddr, "http", "", "serve /metrics, /healthz, /debug/skyline and /debug/pprof on this address (e.g. :8080); the process then stays up after EOF until SIGINT/SIGTERM")
+	fs.IntVar(&cfg.shards, "shards", 1, "partition the window across this many single-writer engines with an exact merged query surface")
+	fs.StringVar(&cfg.router, "router", "grid", "shard router: grid (spatial cells) or band (probability bands)")
+	fs.StringVar(&cfg.streams, "streams", "", "multi-tenant mode: ';'-separated stream specs name:dims=..,window=..,q=..[,shards=..][,wal=on]; requires -http, disables stdin ingestion")
+	fs.StringVar(&cfg.walDir, "wal", "", "durability directory: write-ahead log + checkpoints; recovers existing state at start")
+	fs.StringVar(&cfg.walFsync, "wal-fsync", "interval", "WAL commit durability: always, interval or never")
+	fs.StringVar(&cfg.walPolicy, "wal-policy", "failstop", "durability failure response: failstop, retry or shed")
+	fs.IntVar(&cfg.walSegmentMB, "wal-segment-mb", 0, "WAL segment rotation threshold in MiB (0 = default 64)")
+	fs.IntVar(&cfg.walCkptEvery, "wal-checkpoint-every", 0, "install a checkpoint every N ingested elements (0 = default, negative = only at exit)")
+	fs.StringVar(&cfg.walFault, "wal-fault", "", "chaos testing: seeded fault schedule for the durability filesystem (e.g. \"sync:after=40:times=3;write:partial=7\")")
+	fs.Int64Var(&cfg.walFaultSeed, "wal-fault-seed", 0, "seed for probabilistic -wal-fault rules (0 = 1)")
+	fs.BoolVar(&cfg.noLatency, "no-latency", false, "disable ingest-to-visibility latency tracking and the flight recorder (instrumentation-off control)")
+	fs.DurationVar(&cfg.slowThreshold, "slow-threshold", 0, "latch writes at or above this admission-to-visibility latency into the flight recorder's slow ring (0 = default 5ms)")
+	fs.DurationVar(&cfg.latencyEpoch, "latency-epoch", 0, "rotation interval of the windowed latency histograms; recent quantiles cover 6 epochs (0 = default 10s)")
+	fs.StringVar(&cfg.replListen, "replicate-listen", "", "primary mode: stream the WAL to read-only replicas on this address (requires -wal, single engine)")
+	fs.StringVar(&cfg.replicaOf, "replica-of", "", "replica mode: follow the primary replicating on this address (requires -wal and -http; stdin is not read)")
+	fs.StringVar(&cfg.promote, "promote", "", "promote the replica serving HTTP on this address to a writable primary, then exit")
+	fs.IntVar(&cfg.replSemiK, "repl-semisync-k", 0, "semi-sync replication: block each push until this many followers ack it, degrading to async when the quorum cannot keep up (0 = async)")
+	fs.DurationVar(&cfg.replAckWait, "repl-ack-wait", 0, "semi-sync ack deadline before a push stops waiting and the stream degrades (0 = default 1s)")
+	fs.StringVar(&cfg.replFault, "repl-fault", "", "chaos testing: seeded fault schedule for replication connections (e.g. \"write:p=0.1:err=reset;read:delay=20ms\")")
+	fs.Int64Var(&cfg.replFaultSeed, "repl-fault-seed", 0, "seed for probabilistic -repl-fault rules (0 = 1)")
+	fs.BoolVar(&cfg.version, "version", false, "print build information and exit")
+}
+
+// thresholdList is the -q flag: a comma-separated list of thresholds.
+type thresholdList []float64
+
+func (l *thresholdList) String() string {
+	parts := make([]string, len(*l))
+	for i, q := range *l {
+		parts[i] = strconv.FormatFloat(q, 'g', -1, 64)
+	}
+	return strings.Join(parts, ",")
+}
+
+func (l *thresholdList) Set(v string) error {
+	var qs []float64
+	for _, s := range strings.Split(v, ",") {
+		q, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil {
+			return fmt.Errorf("bad threshold %q: %v", s, err)
+		}
+		qs = append(qs, q)
+	}
+	*l = qs
+	return nil
 }
 
 // run executes one streaming session: restore-or-create the monitor, feed

@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseLine(t *testing.T) {
@@ -172,5 +176,64 @@ func TestRunRejectsBadBatch(t *testing.T) {
 		strings.NewReader(""), new(bytes.Buffer), new(bytes.Buffer))
 	if err == nil {
 		t.Fatal("batch=0 accepted")
+	}
+}
+
+// TestFlagDefaults pins every command-line flag's name and default value, so
+// a refactor of the flag wiring cannot rename, drop or re-default one
+// unnoticed.
+func TestFlagDefaults(t *testing.T) {
+	want := map[string]string{
+		"dims": "2", "window": "100000", "period": "0", "q": "0.3",
+		"snapshot": "0", "summary": "false", "f": "", "checkpoint": "",
+		"batch": "1", "async": "0", "async-policy": "block", "http": "",
+		"shards": "1", "router": "grid", "streams": "",
+		"wal": "", "wal-fsync": "interval", "wal-policy": "failstop",
+		"wal-segment-mb": "0", "wal-checkpoint-every": "0",
+		"wal-fault": "", "wal-fault-seed": "0",
+		"no-latency": "false", "slow-threshold": "0s", "latency-epoch": "0s",
+		"replicate-listen": "", "replica-of": "", "promote": "",
+		"repl-semisync-k": "0", "repl-ack-wait": "0s",
+		"repl-fault": "", "repl-fault-seed": "0",
+		"version": "false",
+	}
+	fs := flag.NewFlagSet("pskyline", flag.ContinueOnError)
+	var cfg config
+	bindFlags(fs, &cfg)
+	got := map[string]string{}
+	fs.VisitAll(func(f *flag.Flag) {
+		got[f.Name] = f.DefValue
+		if f.Usage == "" {
+			t.Errorf("flag -%s has no usage string", f.Name)
+		}
+	})
+	for name, def := range want {
+		if g, ok := got[name]; !ok {
+			t.Errorf("flag -%s missing", name)
+		} else if g != def {
+			t.Errorf("flag -%s default %q, want %q", name, g, def)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("unexpected flag -%s", name)
+		}
+	}
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.dims != 2 || cfg.window != 100000 || cfg.batch != 1 || cfg.shards != 1 ||
+		cfg.router != "grid" || cfg.walFsync != "interval" || !slices.Equal(cfg.thresholds, []float64{0.3}) {
+		t.Fatalf("defaults not bound into config: %+v", cfg)
+	}
+	if err := fs.Parse([]string{"-q", "0.5, 0.2", "-wal-fault-seed", "7", "-slow-threshold", "2ms"}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(cfg.thresholds, []float64{0.5, 0.2}) || cfg.walFaultSeed != 7 || cfg.slowThreshold != 2*time.Millisecond {
+		t.Fatalf("parsed flags not bound into config: %+v", cfg)
+	}
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse([]string{"-q", "0.5,x"}); err == nil {
+		t.Fatal("bad -q list accepted")
 	}
 }

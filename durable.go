@@ -310,17 +310,13 @@ func Open(opt Options) (*Monitor, error) {
 	}
 	replayed, rerr := w.ReplayParallel(m.eng.NextSeq(), workers, wp, func(r wal.Record) error {
 		want := m.eng.NextSeq()
-		if m.opts.shard != nil {
-			if r.Seq < want {
-				return fmt.Errorf("log record %d behind shard engine position %d", r.Seq, want)
-			}
-			return m.replayShardLocked(r)
-		}
-		if r.Seq != want {
+		switch {
+		case m.opts.shard != nil && r.Seq < want:
+			return fmt.Errorf("log record %d behind shard engine position %d", r.Seq, want)
+		case m.opts.shard == nil && r.Seq != want:
 			return fmt.Errorf("log record %d does not continue engine position %d (checkpoint older than the retained log?)", r.Seq, want)
 		}
-		_, err := m.ingestLocked(Element{Point: r.Point, Prob: r.Prob, TS: r.TS})
-		return err
+		return m.ingestLocked(r.Seq, Element{Point: r.Point, Prob: r.Prob, TS: r.TS})
 	})
 	m.replaying = false
 	if rerr != nil {
@@ -461,33 +457,6 @@ func (m *Monitor) Checkpoint() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.checkpointLocked()
-}
-
-// logOneLocked appends one element to the WAL and commits it, before the
-// engine applies it. Callers hold m.mu.
-func (m *Monitor) logOneLocked(e Element) error {
-	if err := m.wal.AppendElement(m.eng.NextSeq(), e.Point, e.Prob, e.TS); err != nil {
-		return m.walFail(err)
-	}
-	if err := m.wal.Commit(); err != nil {
-		return m.walFail(err)
-	}
-	return nil
-}
-
-// logBatchLocked appends a batch under one group commit: len(es) appends,
-// one write, at most one fsync. Callers hold m.mu.
-func (m *Monitor) logBatchLocked(es []Element) error {
-	seq := m.eng.NextSeq()
-	for i := range es {
-		if err := m.wal.AppendElement(seq+uint64(i), es[i].Point, es[i].Prob, es[i].TS); err != nil {
-			return m.walFail(err)
-		}
-	}
-	if err := m.wal.Commit(); err != nil {
-		return m.walFail(err)
-	}
-	return nil
 }
 
 // walFail latches a durability failure. With the new health state machine

@@ -616,3 +616,91 @@ func TestCheckpointGCBoundsLog(t *testing.T) {
 	pushAll(t, full, els)
 	semanticSkyline(t, "gc-bounded recovery", full.Skyline(), m2.Skyline())
 }
+
+// TestWritePathsLogIdentically pins the write side's single body: the same
+// stream fed through sync Push, sync PushBatch, async Push and async
+// PushBatch must leave byte-identical WAL files and gob-identical snapshots,
+// for a count window and a time window. The async consumer regroups the
+// stream into its own batches, so group commits differ across the four
+// paths; the record bytes must not.
+func TestWritePathsLogIdentically(t *testing.T) {
+	const n = 500
+	els := durStream(41, n, 3, 2)
+	windows := []struct {
+		name   string
+		window int
+		period int64
+	}{
+		{"count", 64, 0},
+		{"time", 0, 90},
+	}
+	paths := []struct {
+		name  string
+		async int
+		batch int
+	}{
+		{"sync-push", 0, 1},
+		{"sync-pushbatch", 0, 7},
+		{"async-push", 16, 1},
+		{"async-pushbatch", 16, 7},
+	}
+	for _, w := range windows {
+		t.Run(w.name, func(t *testing.T) {
+			var refFiles map[string][]byte
+			var refSnap []byte
+			for _, p := range paths {
+				dir := t.TempDir()
+				m := mustOpen(t, pskyline.Options{
+					Dims: 3, Window: w.window, Period: w.period,
+					Thresholds: []float64{0.3, 0.6}, AsyncQueue: p.async,
+					Durability: pskyline.Durability{Dir: dir, Fsync: "never", CheckpointEvery: -1},
+				})
+				for i := 0; i < n; i += p.batch {
+					var err error
+					if p.batch == 1 {
+						_, err = m.Push(els[i])
+					} else {
+						_, err = m.PushBatch(els[i:min(i+p.batch, n)])
+					}
+					if err != nil {
+						t.Fatalf("%s: element %d: %v", p.name, i, err)
+					}
+				}
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+				snap := snapshotBytes(t, m)
+				files := map[string][]byte{}
+				ents, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range ents {
+					b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					files[e.Name()] = b
+				}
+				if len(files) == 0 {
+					t.Fatalf("%s: no WAL files written", p.name)
+				}
+				if refFiles == nil {
+					refFiles, refSnap = files, snap
+					continue
+				}
+				if len(files) != len(refFiles) {
+					t.Fatalf("%s: %d files, %s wrote %d", p.name, len(files), paths[0].name, len(refFiles))
+				}
+				for name, b := range refFiles {
+					if !bytes.Equal(files[name], b) {
+						t.Fatalf("%s: file %s differs from %s's", p.name, name, paths[0].name)
+					}
+				}
+				if !bytes.Equal(snap, refSnap) {
+					t.Fatalf("%s: snapshot differs from %s's", p.name, paths[0].name)
+				}
+			}
+		})
+	}
+}

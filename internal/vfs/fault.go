@@ -289,6 +289,9 @@ func (f *Fault) SyncDir(dir string) error {
 //
 //	op[:path=SUBSTR][:after=N][:times=M][:err=eio|enospc][:partial=K][:p=F]
 //
+// with N >= 0, M >= -1, K >= 0 (write rules only) and 0 <= F <= 1; values
+// out of range are rejected, as netfault.ParseSchedule rejects them.
+//
 // Examples:
 //
 //	sync:after=40:times=3              the 41st..43rd fsyncs fail with EIO
@@ -317,12 +320,12 @@ func ParseSchedule(base FS, seed int64, spec string) (*Fault, error) {
 			case "path":
 				r.Path = v
 			case "after":
-				if r.After, err = strconv.Atoi(v); err != nil {
-					return nil, fmt.Errorf("vfs: bad after=%q: %v", v, err)
+				if r.After, err = strconv.Atoi(v); err != nil || r.After < 0 {
+					return nil, fmt.Errorf("vfs: bad after=%q in %q", v, part)
 				}
 			case "times":
-				if r.Times, err = strconv.Atoi(v); err != nil {
-					return nil, fmt.Errorf("vfs: bad times=%q: %v", v, err)
+				if r.Times, err = strconv.Atoi(v); err != nil || r.Times < -1 {
+					return nil, fmt.Errorf("vfs: bad times=%q in %q", v, part)
 				}
 			case "err":
 				switch v {
@@ -334,16 +337,19 @@ func ParseSchedule(base FS, seed int64, spec string) (*Fault, error) {
 					return nil, fmt.Errorf("vfs: unknown err=%q (want eio or enospc)", v)
 				}
 			case "partial":
-				if r.Partial, err = strconv.Atoi(v); err != nil {
-					return nil, fmt.Errorf("vfs: bad partial=%q: %v", v, err)
+				if r.Partial, err = strconv.Atoi(v); err != nil || r.Partial < 0 {
+					return nil, fmt.Errorf("vfs: bad partial=%q in %q", v, part)
 				}
 			case "p":
-				if r.Prob, err = strconv.ParseFloat(v, 64); err != nil {
-					return nil, fmt.Errorf("vfs: bad p=%q: %v", v, err)
+				if r.Prob, err = strconv.ParseFloat(v, 64); err != nil || !(r.Prob >= 0 && r.Prob <= 1) {
+					return nil, fmt.Errorf("vfs: bad p=%q in %q", v, part)
 				}
 			default:
 				return nil, fmt.Errorf("vfs: unknown rule field %q in %q", k, part)
 			}
+		}
+		if r.Partial > 0 && r.Op != OpWrite {
+			return nil, fmt.Errorf("vfs: partial in %q requires op=write", part)
 		}
 		f.Inject(r)
 	}

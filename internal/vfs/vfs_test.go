@@ -191,7 +191,15 @@ func TestParseSchedule(t *testing.T) {
 	if f.rules[2].Path != "ckpt" || f.rules[2].Times != -1 {
 		t.Fatalf("rule 2 = %+v", f.rules[2])
 	}
-	for _, bad := range []string{"fsync", "sync:after=x", "sync:bogus=1", "sync:err=nope", "sync:times"} {
+	// The chaos smoke script's default storm must keep parsing.
+	if _, err := ParseSchedule(OS{}, 1, "write:p=0.08:times=-1:partial=5;sync:p=0.10:times=-1"); err != nil {
+		t.Fatal(err)
+	}
+	bad := []string{"fsync", "sync:after=x", "sync:bogus=1", "sync:err=nope", "sync:times",
+		// Out-of-range values that would otherwise fire forever, on every
+		// call, or silently degrade to a plain EIO.
+		"sync:times=-5", "sync:p=1.5", "sync:p=-0.1", "sync:p=NaN", "write:after=-1", "write:partial=-1", "sync:partial=4"}
+	for _, bad := range bad {
 		if _, err := ParseSchedule(OS{}, 1, bad); err == nil {
 			t.Errorf("spec %q parsed", bad)
 		}

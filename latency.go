@@ -120,38 +120,28 @@ func (sp *opSpan) applyDone() {
 }
 
 // endOpLocked closes the span after the publication that made the operation
-// visible: it records one applied and one visible latency sample per element
-// and files one flight record for the operation. Exactly one of admits
-// (per-element stamps of an async internal batch) and ops (a shard-member op
-// batch, whose non-tick entries carry their own stamps) may be non-nil; with
-// both nil all n elements share sp.admitNs. Callers hold m.mu.
-func (m *Monitor) endOpLocked(sp *opSpan, firstSeq uint64, n int, admits []int64, ops []shardOp) {
-	if !sp.on || n == 0 {
+// visible: it records one applied and one visible latency sample per pushed
+// element, against that element's own admission stamp (ticks carry none),
+// and files one flight record for the operation. Callers hold m.mu.
+func (m *Monitor) endOpLocked(sp *opSpan, ops []writeOp) {
+	if !sp.on {
 		return
 	}
 	end := obs.NowNs()
 	mm := &m.met
-	switch {
-	case ops != nil:
-		for i := range ops {
-			if ops[i].tick || ops[i].admitNs == 0 {
-				continue
-			}
-			mm.latApplied.Record(end, time.Duration(sp.applyNs-ops[i].admitNs))
-			mm.latVisible.Record(end, time.Duration(end-ops[i].admitNs))
+	var firstSeq uint64
+	n := 0
+	for i := range ops {
+		if ops[i].tick {
+			continue
 		}
-	case admits != nil:
-		for _, a := range admits {
-			if a == 0 {
-				continue
-			}
+		if n == 0 {
+			firstSeq = ops[i].seq
+		}
+		n++
+		if a := ops[i].admitNs; a != 0 {
 			mm.latApplied.Record(end, time.Duration(sp.applyNs-a))
 			mm.latVisible.Record(end, time.Duration(end-a))
-		}
-	default:
-		for i := 0; i < n; i++ {
-			mm.latApplied.Record(end, time.Duration(sp.applyNs-sp.admitNs))
-			mm.latVisible.Record(end, time.Duration(end-sp.admitNs))
 		}
 	}
 	fs := obs.Span{

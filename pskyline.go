@@ -208,7 +208,10 @@ type Monitor struct {
 	pubKeep    []*aggrtree.Item
 	pubChanged []pubElem
 
-	batch []core.BatchElem // scratch for batch ingestion, guarded by mu
+	// PushBatch's op scratch. It has its own mutex because the ops are built
+	// before apply takes mu, or are handed to the async queue instead.
+	opsMu sync.Mutex
+	ops   []writeOp
 
 	// Observability: the metrics block (stage histograms recorded by the
 	// engine, mirrors refreshed at publish), the lock-free skyline trace
@@ -435,11 +438,15 @@ func (m *Monitor) Push(e Element) (uint64, error) {
 	if p := m.walErr.Load(); p != nil {
 		return 0, *p
 	}
-	admit := m.admitNow()
+	op := [1]writeOp{{el: e, admitNs: m.admitNow()}}
 	if m.aq != nil {
-		return m.aq.enqueue(e, admit)
+		seq, err := m.aq.enqueue(op[:])
+		if err != nil {
+			return 0, singleOpErr(err)
+		}
+		return seq, nil
 	}
-	seq, err := m.pushOne(e, admit)
+	seq, err := m.apply(op[:], -1)
 	if err != nil {
 		return 0, err
 	}
@@ -452,43 +459,15 @@ func (m *Monitor) Push(e Element) (uint64, error) {
 	return seq, nil
 }
 
-// pushOne is Push's locked body: log, ingest, publish one element.
-func (m *Monitor) pushOne(e Element, admit int64) (uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return 0, ErrClosed
-	}
-	var sp opSpan
-	m.beginOpLocked(&sp, admit, -1)
-	if m.wal != nil {
-		if err := m.logOneLocked(e); err != nil {
-			return 0, err
-		}
-	}
-	seq, err := m.ingestLocked(e)
-	if err != nil {
-		return 0, err
-	}
-	sp.applyDone()
-	m.refreshTopKLocked()
-	m.publishLocked()
-	m.endOpLocked(&sp, seq, 1, nil, nil)
-	m.maybeCheckpointLocked(1)
-	return seq, nil
-}
-
 // PushBatch processes a batch of arriving elements as one write: the
 // elements are validated up front (an invalid element fails the whole batch
-// before anything is ingested), handed to the engine as a single batch
-// operation (count-based windows; time-based windows interleave expiry with
-// ingestion and run element-wise), and a single read view is published
-// afterwards, so concurrent readers observe either none or all of the batch.
-// The final state is byte-identical to pushing the elements one at a time in
-// the same order. The elements receive consecutive sequence numbers starting
-// at the returned value. Batching amortizes view publication and the
-// engine's per-call bookkeeping: for write-heavy streams it is substantially
-// cheaper than element-wise Push.
+// before anything is ingested), logged under one group commit, ingested in
+// order, and a single read view is published afterwards, so concurrent
+// readers observe either none or all of the batch. The final state is
+// byte-identical to pushing the elements one at a time in the same order.
+// The elements receive consecutive sequence numbers starting at the returned
+// value. Batching amortizes view publication and the WAL commit: for
+// write-heavy streams it is substantially cheaper than element-wise Push.
 //
 // With an async queue the batch is enqueued whole (blocking when the queue
 // is full) and ingested by the background goroutine.
@@ -505,128 +484,155 @@ func (m *Monitor) PushBatch(es []Element) (uint64, error) {
 		return 0, *p
 	}
 	admit := m.admitNow()
+	m.opsMu.Lock()
+	ops := m.ops[:0]
+	for i := range es {
+		ops = append(ops, writeOp{el: es[i], admitNs: admit})
+	}
+	var first uint64
+	var err error
 	if m.aq != nil {
-		return m.aq.enqueueBatch(es, admit)
+		first, err = m.aq.enqueue(ops)
+	} else {
+		first, err = m.apply(ops, -1)
 	}
-	first, err := m.pushMany(es, admit)
-	if err != nil {
-		return 0, err
+	clear(ops) // drop payload references from the scratch
+	m.ops = ops[:0]
+	m.opsMu.Unlock()
+	if err != nil || m.aq != nil || len(es) == 0 {
+		return first, err
 	}
-	if len(es) > 0 {
-		// As in Push: the semi-sync wait runs after the ingest lock drops.
-		if err := m.commitWait(first + uint64(len(es))); err != nil {
-			return first, err
-		}
+	// As in Push: the semi-sync wait runs after the ingest lock drops.
+	if err := m.commitWait(first + uint64(len(es))); err != nil {
+		return first, err
 	}
 	return first, nil
 }
 
-// pushMany is PushBatch's locked body: log, ingest, publish the batch.
-func (m *Monitor) pushMany(es []Element, admit int64) (uint64, error) {
+// writeOp is one sequenced write handed to apply: an element push, or — on
+// shard members only — a watermark tick (tick == true) that tells the shard
+// how far the global stream has advanced: seq is then the newest assigned
+// sequence number and wmTS the highest assigned timestamp, so the shard can
+// expire its slice of the window even though the elements driving the
+// expiry were routed elsewhere. Ticks carry no data, are idempotent and
+// commute with each other; the expiry bound they establish is monotone.
+type writeOp struct {
+	el   Element
+	seq  uint64
+	tick bool
+	wmTS int64
+	// admitNs is the element's front-end admission stamp (obs.NowNs at the
+	// moment Push/PushBatch accepted it, before sequencing, queueing or lock
+	// wait), carried to apply for ingest-to-visibility latency recording. 0
+	// when latency tracking is off, and always 0 on ticks.
+	admitNs int64
+}
+
+// apply is the Monitor's one write body. Sync Push and PushBatch, the async
+// consumer, the sharded front end and watermark ticks all come through it,
+// under one hold of mu. On a standalone monitor the pushes are numbered
+// from the engine position here; a shard member's carry their global
+// numbers. The pushes are logged under one group commit before any is
+// applied — a durability failure latches (later writes fail fast) and drops
+// the ops — then ingested in order, and one view is published if anything
+// changed. Ticks are not logged: recovery re-derives the watermark from
+// every shard's recovered position. queue is the async backlog at apply entry (-1 for synchronous
+// writes), for the flight record. Returns the first push's number (the
+// engine position when there is none).
+func (m *Monitor) apply(ops []writeOp, queue int) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return 0, ErrClosed
 	}
-	var sp opSpan
-	if len(es) > 0 {
-		m.beginOpLocked(&sp, admit, -1)
+	if p := m.walErr.Load(); p != nil {
+		return 0, *p
 	}
-	if m.wal != nil && len(es) > 0 {
-		if err := m.logBatchLocked(es); err != nil {
-			return 0, err
+	first, pushes := m.eng.NextSeq(), 0
+	var admit int64
+	for i := range ops {
+		if ops[i].tick {
+			continue
+		}
+		if m.opts.shard == nil {
+			ops[i].seq = first + uint64(pushes)
+		}
+		if pushes == 0 {
+			first, admit = ops[i].seq, ops[i].admitNs
+		}
+		pushes++
+	}
+	var sp opSpan
+	m.beginOpLocked(&sp, admit, queue)
+	if m.wal != nil && pushes > 0 {
+		for i := range ops {
+			if ops[i].tick {
+				continue
+			}
+			e := &ops[i].el
+			if err := m.wal.AppendElement(ops[i].seq, e.Point, e.Prob, e.TS); err != nil {
+				return 0, m.walFail(err)
+			}
+		}
+		if err := m.wal.Commit(); err != nil {
+			return 0, m.walFail(err)
 		}
 	}
-	first, err := m.ingestBatchLocked(es)
-	if err != nil {
-		// Unreachable after up-front validation; publish what was ingested
-		// so readers stay consistent with the engine.
-		m.refreshTopKLocked()
-		m.publishLocked()
-		return 0, err
+	expired := 0
+	for i := range ops {
+		if ops[i].tick {
+			expired += m.tickLocked(ops[i].seq, ops[i].wmTS)
+		} else if err := m.ingestLocked(ops[i].seq, ops[i].el); err != nil {
+			panic("pskyline: validated element rejected by engine: " + err.Error())
+		}
 	}
-	if len(es) > 0 {
-		sp.applyDone()
-		m.refreshTopKLocked()
-		m.publishLocked()
-		m.endOpLocked(&sp, first, len(es), nil, nil)
-		m.maybeCheckpointLocked(len(es))
+	if pushes == 0 && expired == 0 {
+		return first, nil
 	}
+	sp.applyDone()
+	m.refreshTopKLocked()
+	m.publishLocked()
+	m.endOpLocked(&sp, ops)
+	m.maybeCheckpointLocked(pushes)
 	return first, nil
 }
 
-// ingestLocked runs one element through the engine. Callers hold m.mu and
-// publish a view afterwards.
-func (m *Monitor) ingestLocked(e Element) (uint64, error) {
+// ingestLocked runs one element through the engine at sequence number seq:
+// the paper's per-arrival update, expiry of what left the window and then
+// insertion. A standalone count window expires inside the engine's Push
+// (seq is the engine position); a time window expires by timestamp; a shard
+// member's windowless engine holds a sparse slice of the global stream, so
+// it expires by the sequence bound seq implies and inserts at seq. Live
+// writes and WAL replay share this path. Callers hold m.mu and publish a
+// view afterwards.
+func (m *Monitor) ingestLocked(seq uint64, e Element) error {
+	sh := m.opts.shard
 	if m.period > 0 {
 		m.eng.ExpireOlderThan(e.TS - m.period)
+	} else if sh != nil && seq >= uint64(sh.window) {
+		m.eng.ExpireSeqBelow(seq - uint64(sh.window) + 1)
 	}
 	// Record the payload before the engine runs so departure events
 	// (including the degenerate immediate ones) can clean it up.
-	seq := m.eng.NextSeq()
 	if e.Data != nil {
 		m.data[seq] = e.Data
 	}
-	it, err := m.eng.Push(geom.Point(e.Point), e.Prob, e.TS)
+	var err error
+	if sh != nil {
+		_, err = m.eng.PushAt(seq, geom.Point(e.Point), e.Prob, e.TS)
+	} else {
+		_, err = m.eng.Push(geom.Point(e.Point), e.Prob, e.TS)
+	}
 	if err != nil {
 		delete(m.data, seq)
-		return 0, fmt.Errorf("pskyline: %w", err)
+		return fmt.Errorf("pskyline: %w", err)
 	}
 	m.probSum += e.Prob
 	m.probCount++
 	if e.TS > m.lastTS {
 		m.lastTS = e.TS
 	}
-	return it.Seq, nil
-}
-
-// ingestBatchLocked runs a validated batch through the engine. Count-based
-// windows use the engine's true batch insert (one engine-level operation,
-// byte-identical to the element-wise sequence); time-based windows must
-// interleave per-element expiry with ingestion, so they fall back to
-// element-wise ingestLocked. Callers hold m.mu and publish afterwards.
-func (m *Monitor) ingestBatchLocked(es []Element) (uint64, error) {
-	first := m.eng.NextSeq()
-	if m.period > 0 || len(es) == 0 {
-		for i := range es {
-			if _, err := m.ingestLocked(es[i]); err != nil {
-				return 0, fmt.Errorf("batch element %d: %w", i, err)
-			}
-		}
-		return first, nil
-	}
-	// Record payloads before the engine runs so departure events fired
-	// during the batch (including degenerate immediate ones) can clean
-	// them up.
-	for i := range es {
-		if es[i].Data != nil {
-			m.data[first+uint64(i)] = es[i].Data
-		}
-	}
-	batch := m.batch[:0]
-	for i := range es {
-		batch = append(batch, core.BatchElem{Point: geom.Point(es[i].Point), P: es[i].Prob, TS: es[i].TS})
-	}
-	_, err := m.eng.PushBatch(batch)
-	for i := range batch {
-		batch[i] = core.BatchElem{} // drop point references from the scratch
-	}
-	m.batch = batch[:0]
-	if err != nil {
-		// The engine validates before mutating: nothing was ingested.
-		for i := range es {
-			delete(m.data, first+uint64(i))
-		}
-		return 0, fmt.Errorf("pskyline: %w", err)
-	}
-	for i := range es {
-		m.probSum += es[i].Prob
-		if es[i].TS > m.lastTS {
-			m.lastTS = es[i].TS
-		}
-	}
-	m.probCount += uint64(len(es))
-	return first, nil
+	return nil
 }
 
 // refreshTopKLocked re-derives the continuous top-k ranking and fires

@@ -173,33 +173,50 @@ func TestDataCleanup(t *testing.T) {
 	}
 }
 
+// TestConcurrentUse drives one monitor from several writers at once — Push
+// and PushBatch interleaved, synchronous and through the async queue — while
+// they read; every element must be ingested exactly once.
 func TestConcurrentUse(t *testing.T) {
-	m := mustMonitor(t, pskyline.Options{Dims: 2, Window: 100, Thresholds: []float64{0.3}})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for i := 0; i < 200; i++ {
-				_, err := m.Push(pskyline.Element{
-					Point: []float64{r.Float64(), r.Float64()},
-					Prob:  1 - r.Float64(),
-				})
-				if err != nil {
-					t.Error(err)
-					return
+	for _, async := range []int{0, 8} {
+		m := mustMonitor(t, pskyline.Options{Dims: 2, Window: 100, Thresholds: []float64{0.3}, AsyncQueue: async})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(seed))
+				batch := make([]pskyline.Element, 0, 5)
+				for i := 0; i < 200; i++ {
+					e := pskyline.Element{
+						Point: []float64{r.Float64(), r.Float64()},
+						Prob:  1 - r.Float64(),
+					}
+					var err error
+					if seed%2 == 0 {
+						_, err = m.Push(e)
+					} else if batch = append(batch, e); len(batch) == cap(batch) {
+						_, err = m.PushBatch(batch)
+						batch = batch[:0]
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if i%10 == 0 {
+						m.Skyline()
+						m.TopK(3, 0.3)
+					}
 				}
-				if i%10 == 0 {
-					m.Skyline()
-					m.TopK(3, 0.3)
-				}
-			}
-		}(int64(g))
-	}
-	wg.Wait()
-	if st := m.Stats(); st.Processed != 800 {
-		t.Fatalf("processed = %d", st.Processed)
+			}(int64(g))
+		}
+		wg.Wait()
+		m.Drain()
+		if st := m.Stats(); st.Processed != 800 {
+			t.Fatalf("async=%d: processed = %d", async, st.Processed)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
