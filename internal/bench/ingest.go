@@ -47,6 +47,8 @@ type IngestRun struct {
 	GoVersion string           `json:"go"`
 	GOOS      string           `json:"goos"`
 	GOARCH    string           `json:"goarch"`
+	NumCPU    int              `json:"nproc"`
+	MaxProcs  int              `json:"gomaxprocs"`
 	Window    int              `json:"window"`
 	Workloads []IngestWorkload `json:"workloads"`
 }
@@ -237,6 +239,50 @@ func benchShardedPush(dims, window, shards, batch int) testing.BenchmarkResult {
 				b.Fatal(err)
 			}
 			elems = elems[n:]
+		}
+	})
+}
+
+// benchMergeView measures the read side of sharding: one uncached
+// ShardedMonitor.View() over two shards, i.e. the cross-shard candidate
+// merge, timed right after an untimed 512-element PushBatch has republished
+// both shards' views. ns/op is per merged read, not per element. The d=3
+// row uses the harness's anti-correlated stress stream; the d=5 row uses
+// independent data, the stream of the perfbench bulk-recover workload, the
+// one served workload whose reads merge.
+func benchMergeView(dims, window int, dist streamgen.Distribution) testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		s, err := pskyline.NewSharded(pskyline.ShardedOptions{
+			Options: pskyline.Options{Dims: dims, Window: window, Thresholds: []float64{ingestQ}},
+			Shards:  2,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		src := Dataset{Dims: dims, Dist: dist, Prob: streamgen.UniformProb{}}.stream(5)
+		batch := make([]pskyline.Element, 512)
+		push := func() {
+			for i := range batch {
+				el := src.Next()
+				batch[i] = pskyline.Element{Point: el.Point, Prob: el.P, TS: el.TS}
+			}
+			if _, err := s.PushBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < 2*window; i += len(batch) {
+			push()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			push()
+			b.StartTimer()
+			if s.View().NumCandidates() == 0 {
+				b.Fatal("empty merged view")
+			}
 		}
 	})
 }
@@ -459,6 +505,8 @@ func Ingest(cfg IngestConfig, w io.Writer) IngestRun {
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
+		MaxProcs:  runtime.GOMAXPROCS(0),
 		Window:    window,
 	}
 	add := func(name string, r testing.BenchmarkResult) {
@@ -487,6 +535,8 @@ func Ingest(cfg IngestConfig, w io.Writer) IngestRun {
 		add("pushbatch/d=3/B=512", benchMonitorPushBatch(3, window, 512))
 		add("shardpush/d=3/shards=1/B=512", benchShardedPush(3, window, 1, 512))
 		add("shardpush/d=3/shards=4/B=512", benchShardedPush(3, window, 4, 512))
+		add("mergeview/d=3/shards=2", benchMergeView(3, window, streamgen.Anticorrelated))
+		add("mergeview/d=5/shards=2", benchMergeView(5, window, streamgen.Independent))
 		add("walpush/d=3/fsync=never", benchMonitorPushWAL(3, window, "never"))
 		add("walpush/d=3/fsync=interval", benchMonitorPushWAL(3, window, "interval"))
 		replRows()

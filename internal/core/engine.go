@@ -167,10 +167,18 @@ type arrival struct {
 	TS  int64
 }
 
+// MaxDims bounds the dimensionality of an engine. Every tree allocates
+// dims-sized bounding boxes up front, so the bound keeps a corrupt or
+// hostile checkpoint header from turning into a multi-gigabyte allocation.
+const MaxDims = 1 << 12
+
 // NewEngine returns an engine for the given options.
 func NewEngine(opt Options) (*Engine, error) {
-	if opt.Dims < 1 {
-		return nil, fmt.Errorf("core: Dims must be >= 1, got %d", opt.Dims)
+	if opt.Dims < 1 || opt.Dims > MaxDims {
+		return nil, fmt.Errorf("core: Dims must be in [1, %d], got %d", MaxDims, opt.Dims)
+	}
+	if opt.MaxEntries != 0 && opt.MaxEntries < 4 {
+		return nil, fmt.Errorf("core: MaxEntries must be 0 (default) or >= 4, got %d", opt.MaxEntries)
 	}
 	if opt.Window < 0 {
 		return nil, fmt.Errorf("core: Window must be >= 0, got %d", opt.Window)
@@ -353,7 +361,7 @@ func (e *Engine) checkElem(pt geom.Point, p float64) error {
 	if len(pt) != e.dims {
 		return fmt.Errorf("core: point dimensionality %d != %d", len(pt), e.dims)
 	}
-	if p <= 0 || p > 1 {
+	if !(p > 0 && p <= 1) { // written so that NaN fails too
 		return fmt.Errorf("core: occurrence probability %v out of (0,1]", p)
 	}
 	return nil

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 
 	"pskyline/internal/aggrtree"
 	"pskyline/internal/geom"
@@ -151,8 +154,11 @@ func RestoreFrom(dec *gob.Decoder, ro RestoreOptions) (*Engine, error) {
 		if si.Band < 0 || si.Band >= len(e.trees) {
 			return nil, fmt.Errorf("core: restore: item %d has band %d of %d", si.Seq, si.Band, len(e.trees))
 		}
-		if len(si.Point) != s.Dims {
-			return nil, fmt.Errorf("core: restore: item %d has %d dims, want %d", si.Seq, len(si.Point), s.Dims)
+		if err := e.checkElem(si.Point, si.P); err != nil {
+			return nil, fmt.Errorf("core: restore: item %d: %w", si.Seq, err)
+		}
+		if si.Seq >= s.Next {
+			return nil, fmt.Errorf("core: restore: item %d at or past the next sequence %d", si.Seq, s.Next)
 		}
 		if _, dup := e.inS[si.Seq]; dup {
 			return nil, fmt.Errorf("core: restore: duplicate item %d", si.Seq)
@@ -168,6 +174,9 @@ func RestoreFrom(dec *gob.Decoder, ro RestoreOptions) (*Engine, error) {
 		}
 		e.inS[si.Seq] = it
 	}
+	if err := checkZeroCounts(s.Items, e.bkern); err != nil {
+		return nil, fmt.Errorf("core: restore: %w", err)
+	}
 	for b, its := range bandItems {
 		if len(its) > 0 {
 			e.trees[b].BulkLoad(its)
@@ -180,4 +189,54 @@ func RestoreFrom(dec *gob.Decoder, ro RestoreOptions) (*Engine, error) {
 	e.counters = s.Counters
 	e.arrivals = s.Arrivals
 	return e, nil
+}
+
+// checkZeroCounts verifies the exact zero-factor counts of checkpointed
+// items against the certain (P = 1) items among them. Expiry and removal
+// divide a certain element's zero factor back out of everything it
+// dominates, so a count lower than the truth would panic later, deep in a
+// push. Every candidate has Pnew ≥ q_k > 0, hence no zero factor and no
+// certain newer dominator; its Pold holds exactly one zero factor per
+// certain older dominator in the candidate set. The certain items are
+// packed into block-kernel lanes in ascending sequence order, so each
+// item's older certain items are a prefix of them.
+func checkZeroCounts(items []snapshotItem, bk *geom.BlockKernels) error {
+	var certain []*snapshotItem
+	for i := range items {
+		if items[i].P == 1 {
+			certain = append(certain, &items[i])
+		}
+	}
+	slices.SortFunc(certain, func(a, b *snapshotItem) int { return cmp.Compare(a.Seq, b.Seq) })
+	dims := bk.Dims
+	lanes := make([]float64, len(certain)*dims)
+	for lo := 0; lo < len(certain); lo += geom.BlockMaxItems {
+		blk := certain[lo:min(lo+geom.BlockMaxItems, len(certain))]
+		for k, c := range blk {
+			for d, v := range c.Point {
+				lanes[lo*dims+d*len(blk)+k] = v
+			}
+		}
+	}
+	for i := range items {
+		x := &items[i]
+		if x.Pnew.IsZero() {
+			return fmt.Errorf("item %d has a zero Pnew", x.Seq)
+		}
+		older, _ := slices.BinarySearchFunc(certain, x.Seq, func(c *snapshotItem, seq uint64) int { return cmp.Compare(c.Seq, seq) })
+		zeros := 0
+		for lo := 0; lo < len(certain); lo += geom.BlockMaxItems {
+			m := min(geom.BlockMaxItems, len(certain)-lo)
+			mask := bk.BlockDominates(x.Point, lanes[lo*dims:], m, m)
+			olderMask := uint64(1)<<min(max(older-lo, 0), 64) - 1
+			if mask&^olderMask != 0 {
+				return fmt.Errorf("item %d has a certain newer dominator", x.Seq)
+			}
+			zeros += bits.OnesCount64(mask)
+		}
+		if zeros != x.Pold.Zeros() {
+			return fmt.Errorf("item %d has %d zero factors in Pold, its certain older dominators %d", x.Seq, x.Pold.Zeros(), zeros)
+		}
+	}
+	return nil
 }

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math/rand"
 	"testing"
 
+	"pskyline/internal/prob"
 	"pskyline/internal/streamgen"
 )
 
@@ -131,4 +134,70 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	if _, err := Restore(bytes.NewReader([]byte("not a snapshot")), RestoreOptions{}); err == nil {
 		t.Fatal("garbage accepted")
 	}
+}
+
+// TestRestoreChecksZeroCounts: a checkpoint's exact zero-factor counts must
+// agree with its certain (P = 1) items. A faithful checkpoint with well over
+// one block of certain candidates restores; one whose Pold undercounts the
+// certain older dominators (it would panic when they later expire) or whose
+// Pnew claims a zero factor is refused.
+func TestRestoreChecksZeroCounts(t *testing.T) {
+	e, err := NewEngine(Options{Dims: 2, Window: 3000, Thresholds: []float64{0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(4))
+	for i := 0; i < 4000; i++ {
+		p := 1 - r.Float64()
+		if r.Intn(3) == 0 {
+			p = 1
+		}
+		// Anti-correlated points with noise: a wide candidate set in which
+		// some candidates sit behind certain older dominators.
+		v := r.Float64()
+		if _, err := e.Push([]float64{v + r.Float64()*0.05, 1 - v + r.Float64()*0.05}, p, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := e.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var s snapshot
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	certain, victim := 0, -1
+	for i, it := range s.Items {
+		if it.P == 1 {
+			certain++
+		}
+		if victim < 0 && it.Pold.Zeros() > 0 {
+			victim = i
+		}
+	}
+	if certain <= 64 || victim < 0 {
+		t.Fatalf("stream too tame: %d certain candidates, Pold zero factor present: %v", certain, victim >= 0)
+	}
+	if _, err := Restore(bytes.NewReader(buf.Bytes()), RestoreOptions{}); err != nil {
+		t.Fatalf("faithful checkpoint refused: %v", err)
+	}
+
+	tamper := func(name string, edit func(*snapshot)) {
+		t.Helper()
+		var bad snapshot
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&bad); err != nil {
+			t.Fatal(err)
+		}
+		edit(&bad)
+		var out bytes.Buffer
+		if err := gob.NewEncoder(&out).Encode(&bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(&out, RestoreOptions{}); err == nil {
+			t.Errorf("%s: checkpoint restored", name)
+		}
+	}
+	tamper("Pold undercounts", func(b *snapshot) { b.Items[victim].Pold = prob.One() })
+	tamper("Pnew zero", func(b *snapshot) { b.Items[0].Pnew = prob.Zero() })
 }

@@ -109,6 +109,9 @@ func (f Factor) Log() float64 {
 // IsZero reports whether the factor is exactly 0.
 func (f Factor) IsZero() bool { return f.zeros > 0 }
 
+// Zeros returns the number of exact-zero factors in the product.
+func (f Factor) Zeros() int { return int(f.zeros) }
+
 // IsOne reports whether the factor is exactly 1.
 func (f Factor) IsOne() bool { return f.zeros == 0 && f.logSum == 0 }
 

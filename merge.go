@@ -2,6 +2,7 @@ package pskyline
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"pskyline/internal/core"
@@ -69,20 +70,28 @@ func mergeCandidateViews(parts []*View) *View {
 	}
 	slices.SortFunc(cands, func(x, y SkyPoint) int { return cmp.Compare(x.Seq, y.Seq) })
 
+	// Each candidate's dominators in U, found once through the kd index and
+	// listed by ascending rank (= ascending sequence): doms[off[i]:off[i+1]]
+	// for cands[i]. Both passes multiply from these lists, so factors go in
+	// ascending dominator sequence order exactly as a pairwise scan would.
+	off, doms := dominatorRanks(cands)
+	omp := make([]prob.Factor, len(cands))
+	for i := range cands {
+		omp[i] = prob.OneMinus(cands[i].Prob)
+	}
+
 	// Pass 1 — Pnew over the union: for each candidate, the product of
-	// (1 − P) over its newer dominators in the union, factors in ascending
-	// dominator sequence order. Candidacy is decided on the exact factor
-	// (log-space), same as the engine.
+	// (1 − P) over its newer dominators in the union. Candidacy is decided
+	// on the exact factor (log-space), same as the engine.
 	qk := prob.FromFloat(ths[len(ths)-1])
 	pnew := make([]prob.Factor, len(cands))
 	keep := make([]bool, len(cands))
 	for i := range cands {
+		ds := doms[off[i]:off[i+1]]
+		newer, _ := slices.BinarySearch(ds, int32(i))
 		f := prob.One()
-		pi := geom.Point(cands[i].Point)
-		for j := i + 1; j < len(cands); j++ {
-			if geom.Point(cands[j].Point).Dominates(pi) {
-				f = f.Times(prob.OneMinus(cands[j].Prob))
-			}
+		for _, j := range ds[newer:] {
+			f = f.Times(omp[j])
 		}
 		pnew[i] = f
 		keep[i] = f.AtLeast(qk)
@@ -102,11 +111,12 @@ func mergeCandidateViews(parts []*View) *View {
 			continue
 		}
 		kept++
+		ds := doms[off[i]:off[i+1]]
+		older, _ := slices.BinarySearch(ds, int32(i))
 		pold := prob.One()
-		pi := geom.Point(cands[i].Point)
-		for j := 0; j < i; j++ {
-			if keep[j] && geom.Point(cands[j].Point).Dominates(pi) {
-				pold = pold.Times(prob.OneMinus(cands[j].Prob))
+		for _, j := range ds[:older] {
+			if keep[j] {
+				pold = pold.Times(omp[j])
 			}
 		}
 		psky := prob.FromFloat(cands[i].Prob).Times(pnew[i]).Times(pold)
@@ -139,4 +149,95 @@ func mergeCandidateViews(parts []*View) *View {
 		},
 		counters: counters,
 	}
+}
+
+// mergeLeaf is one leaf of the merge's kd index: at most geom.BlockMaxItems
+// candidates packed as structure-of-arrays lanes (coordinate d of item k at
+// lanes[d*len(ranks)+k]), their ranks in the seq-sorted union, and the
+// leaf's min corner.
+type mergeLeaf struct {
+	lanes []float64
+	ranks []int32
+	min   []float64
+}
+
+// dominatorRanks lists, for every candidate of the seq-sorted slice cands,
+// the ranks of the candidates that dominate it, ascending:
+// doms[off[i]:off[i+1]] for cands[i].
+//
+// The ranks are split at the median into kd leaves (cycling through the
+// dimensions) and each leaf is packed for the block dominance kernels. A
+// leaf is scanned for x only if its min corner is ≤ x in every dimension:
+// a dominator is ≤ x everywhere, so a leaf whose min exceeds x in some
+// dimension holds none, and the pruning is exact. The dominators a scan
+// finds arrive in leaf order; they are gathered through a bitmap indexed by
+// rank, which hands them back in ascending rank order.
+func dominatorRanks(cands []SkyPoint) (off, doms []int32) {
+	n := len(cands)
+	off = make([]int32, n+1)
+	if n == 0 {
+		return off, nil
+	}
+	dims := len(cands[0].Point)
+
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	lanes := make([]float64, n*dims)
+	var leaves []mergeLeaf
+	var build func(lo, hi, d int)
+	build = func(lo, hi, d int) {
+		if hi-lo > geom.BlockMaxItems {
+			slices.SortFunc(perm[lo:hi], func(a, b int32) int {
+				return cmp.Or(cmp.Compare(cands[a].Point[d], cands[b].Point[d]), cmp.Compare(a, b))
+			})
+			mid := lo + (hi-lo)/2
+			build(lo, mid, (d+1)%dims)
+			build(mid, hi, (d+1)%dims)
+			return
+		}
+		m := hi - lo
+		lf := mergeLeaf{lanes: lanes[lo*dims : hi*dims], ranks: perm[lo:hi], min: make([]float64, dims)}
+		copy(lf.min, cands[lf.ranks[0]].Point)
+		for k, r := range lf.ranks {
+			for d, v := range cands[r].Point {
+				lf.lanes[d*m+k] = v
+				lf.min[d] = min(lf.min[d], v)
+			}
+		}
+		leaves = append(leaves, lf)
+	}
+	build(0, n, 0)
+
+	bk := geom.BlockKernelsFor(dims)
+	seen := make([]uint64, (n+63)/64)
+	for i := range cands {
+		p := geom.Point(cands[i].Point)
+		lo, hi := len(seen), -1
+	leaf:
+		for li := range leaves {
+			lf := &leaves[li]
+			for d, v := range lf.min {
+				if v > p[d] {
+					continue leaf
+				}
+			}
+			m := len(lf.ranks)
+			for mask := bk.BlockDominates(p, lf.lanes, m, m); mask != 0; mask &= mask - 1 {
+				r := lf.ranks[bits.TrailingZeros64(mask)]
+				w := int(r >> 6)
+				seen[w] |= 1 << (r & 63)
+				lo, hi = min(lo, w), max(hi, w)
+			}
+		}
+		for w := lo; w <= hi; w++ {
+			for b := seen[w]; b != 0; b &= b - 1 {
+				doms = append(doms, int32(w<<6|bits.TrailingZeros64(b)))
+			}
+			seen[w] = 0
+		}
+		off[i+1] = int32(len(doms))
+	}
+	return off, doms
 }

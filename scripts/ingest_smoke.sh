@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Ingestion benchmark smoke: runs the short -ingest harness once, so every
-# write path it drives (engine push, looped Monitor.Push, PushBatch, sharded
-# push, WAL push, replicated push, expiry, mixed, recovery reopen) is
-# exercised end to end, and fails unless every row is printed. The run goes
+# path it drives (engine push, looped Monitor.Push, PushBatch, sharded push,
+# the merged sharded read, WAL push, replicated push, expiry, mixed, recovery
+# reopen) is exercised end to end, and fails unless every row is printed. The run goes
 # to a temporary trajectory file — BENCH_ingest.json is never written — and
 # no timing is gated on. Run from the repo root (`make ingest-smoke`).
 set -euo pipefail
@@ -20,6 +20,7 @@ rows=(
     "push/d=3/nometrics" "push/d=3/blockoff" "push/d=3/q=0.7" "push/d=3/k=3"
     "looped-push/d=3" "pushbatch/d=3/B=512"
     "shardpush/d=3/shards=1/B=512" "shardpush/d=3/shards=4/B=512"
+    "mergeview/d=3/shards=2" "mergeview/d=5/shards=2"
     "walpush/d=3/fsync=never" "walpush/d=3/fsync=interval"
     "replpush/d=3/async" "replpush/d=3/semisync-k1"
     "expire/d=3" "mixed/d=3"

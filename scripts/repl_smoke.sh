@@ -36,6 +36,16 @@ addr_of() {
     grep -o "$2 http://[0-9.:]*" "$1" | head -n1 | awk '{print $NF}'
 }
 
+# fetch_has URL PATTERN: GET URL into memory, then grep the body. The body is
+# read in full before grep sees it: piping curl into a grep -q (or an awk
+# that exits early) would let curl fail with "(23) Failed writing body"
+# under pipefail whenever the reader quits first.
+fetch_has() {
+    local body
+    body=$(curl -fsS "$1") || return 1
+    grep -q "$2" <<<"$body"
+}
+
 # Uninterrupted oracle: one process, no faults, no failover. -http keeps it
 # alive after EOF so its skyline can be fetched over the same JSON surface
 # the promoted replica serves.
@@ -47,7 +57,7 @@ poll grep -q "serving on http://" "$tmp/oracle.err" \
     || { echo "oracle never served"; cat "$tmp/oracle.err"; exit 1; }
 ORACLE=$(addr_of "$tmp/oracle.err" "serving on")
 oracle_done() {
-    curl -fsS "$ORACLE/skyline" | grep -q "\"processed\":$N"
+    fetch_has "$ORACLE/skyline" "\"processed\":$N"
 }
 poll oracle_done \
     || { echo "oracle never ingested $N elements"; exit 1; }
@@ -83,7 +93,7 @@ head -n "$CUT" "$tmp/stream.csv" >&9
 poll grep -q "^@$CUT skyline" "$tmp/primary.log" \
     || { echo "primary never reached element $CUT"; cat "$tmp/primary.err"; exit 1; }
 caught_up() {
-    curl -fsS "$RHTTP/healthz" | grep -q "\"processed\":$CUT.*\"role\":\"replica\""
+    fetch_has "$RHTTP/healthz" "\"processed\":$CUT.*\"role\":\"replica\""
 }
 poll caught_up \
     || { echo "replica never caught up to $CUT"; curl -fsS "$RHTTP/healthz" || true; cat "$tmp/replica.err"; exit 1; }
@@ -99,7 +109,7 @@ exec 9>&-
 "$tmp/pskyline" -promote "$RHTTP" > "$tmp/promote.out"
 grep -q "role=primary epoch=1" "$tmp/promote.out" \
     || { echo "unexpected promote ack:"; cat "$tmp/promote.out"; exit 1; }
-curl -fsS "$RHTTP/healthz" | grep -q "\"role\":\"primary\"" \
+fetch_has "$RHTTP/healthz" "\"role\":\"primary\"" \
     || { echo "promoted node still reports itself a replica"; exit 1; }
 
 # Push the rest of the stream to the promoted node over HTTP (drained so the

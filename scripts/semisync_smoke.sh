@@ -50,7 +50,19 @@ addr_of() {
 
 # metric NAME: scrape one gauge/counter value from the primary's /metrics.
 metric() {
-    curl -fsS "$PHTTP/metrics" | awk -v m="$1" '$1 == m {print $2; exit}'
+    local body
+    body=$(curl -fsS "$PHTTP/metrics") || return 1
+    awk -v m="$1" '$1 == m {print $2; exit}' <<<"$body"
+}
+
+# fetch_has URL PATTERN: GET URL into memory, then grep the body. The body is
+# read in full before grep sees it: piping curl into a grep -q (or an awk
+# that exits early) would let curl fail with "(23) Failed writing body"
+# under pipefail whenever the reader quits first.
+fetch_has() {
+    local body
+    body=$(curl -fsS "$1") || return 1
+    grep -q "$2" <<<"$body"
 }
 
 # Uninterrupted oracle: one process, no replication, no faults.
@@ -62,7 +74,7 @@ poll grep -q "serving on http://" "$tmp/oracle.err" \
     || { echo "oracle never served"; cat "$tmp/oracle.err"; exit 1; }
 ORACLE=$(addr_of "$tmp/oracle.err" "serving on")
 oracle_done() {
-    curl -fsS "$ORACLE/skyline" | grep -q "\"processed\":$N"
+    fetch_has "$ORACLE/skyline" "\"processed\":$N"
 }
 poll oracle_done \
     || { echo "oracle never ingested $N elements"; exit 1; }
@@ -131,7 +143,7 @@ poll cycle_done \
     || { echo "degrade/heal/upgrade cycle never completed:"
          curl -fsS "$PHTTP/metrics" | grep pskyline_repl_ || true
          cat "$tmp/primary.err"; exit 1; }
-curl -fsS "$PHTTP/healthz" | grep -q "\"sync_state\":\"semisync\"" \
+fetch_has "$PHTTP/healthz" "\"sync_state\":\"semisync\"" \
     || { echo "/healthz does not surface the semi-sync state"; curl -fsS "$PHTTP/healthz"; exit 1; }
 
 # The loss bound: scrape the quorum-acked watermark, then kill the primary

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pskyline/internal/obs"
 	"pskyline/internal/wal"
@@ -134,6 +135,13 @@ type ShardedMonitor struct {
 	maxCand atomic.Int64 // peak merged candidate count observed at merges
 	maxSky  atomic.Int64
 
+	// Read-side merge cost, exported as pskyline_shard_merge_seconds and
+	// pskyline_shard_merge_union. Concurrent readers may merge at once,
+	// and the histogram is single-writer, so recording takes mergeMu.
+	mergeMu    sync.Mutex
+	mergeTime  obs.Histogram // one observation per uncached merge
+	mergeUnion obs.Gauge     // |U| of the last uncached merge
+
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -170,6 +178,10 @@ func NewSharded(opt ShardedOptions) (*ShardedMonitor, error) {
 		reg:    reg,
 		groups: make([][]writeOp, opt.Shards),
 	}
+	reg.RegisterHistogram("pskyline_shard_merge_seconds",
+		"Time an uncached merged read spent merging the shard candidate views.", &s.mergeTime, opt.metricLabels...)
+	reg.RegisterGauge("pskyline_shard_merge_union",
+		"Size of the shard candidate union the last uncached merged read merged.", &s.mergeUnion, opt.metricLabels...)
 	for i := 0; i < opt.Shards; i++ {
 		so := opt.Options
 		so.Window = 0
@@ -402,7 +414,17 @@ func (s *ShardedMonitor) View() *View {
 	if mv := s.merged.Load(); mv != nil && sameParts(mv.parts, parts) {
 		return mv.view
 	}
+	t0 := time.Now()
 	v := mergeCandidateViews(parts)
+	took := time.Since(t0)
+	union := 0
+	for _, p := range parts {
+		union += p.NumCandidates()
+	}
+	s.mergeMu.Lock()
+	s.mergeTime.Record(took)
+	s.mergeUnion.SetInt(union)
+	s.mergeMu.Unlock()
 	maxAtomic(&s.maxCand, int64(v.stats.Candidates))
 	maxAtomic(&s.maxSky, int64(v.stats.Skyline))
 	v.stats.MaxCandidates = int(s.maxCand.Load())

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -677,5 +679,69 @@ func TestFactorExactMergeZeroProb(t *testing.T) {
 		if c.Seq == 0 {
 			t.Fatalf("certain-dominated element still a candidate: %+v", c)
 		}
+	}
+}
+
+// TestShardedMergeMetrics: every uncached merged read adds one observation
+// to pskyline_shard_merge_seconds and sets pskyline_shard_merge_union to the
+// size of the merged candidate union; a View served from the merge cache
+// observes nothing.
+func TestShardedMergeMetrics(t *testing.T) {
+	s, err := pskyline.NewSharded(pskyline.ShardedOptions{
+		Options: pskyline.Options{Dims: 2, Window: 200, Thresholds: []float64{0.3}},
+		Shards:  2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	scrape := func() string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	metric := func(prom, name string) string {
+		t.Helper()
+		for _, line := range strings.Split(prom, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("series %s missing from:\n%s", name, prom)
+		return ""
+	}
+	if got := metric(scrape(), "pskyline_shard_merge_seconds_count"); got != "0" {
+		t.Fatalf("merge count before any read = %s, want 0", got)
+	}
+
+	feed(t, s, genShardElements(3, 600, 2), "batch")
+	union := 0
+	for _, p := range shardParts(s) {
+		union += p.NumCandidates()
+	}
+	s.View()
+	prom := scrape()
+	if got := metric(prom, "pskyline_shard_merge_seconds_count"); got != "1" {
+		t.Fatalf("merge count after one uncached read = %s, want 1", got)
+	}
+	if got, want := metric(prom, "pskyline_shard_merge_union"), strconv.Itoa(union); got != want {
+		t.Fatalf("merge union = %s, want %s", got, want)
+	}
+
+	s.View()
+	s.Skyline()
+	if got := metric(scrape(), "pskyline_shard_merge_seconds_count"); got != "1" {
+		t.Fatalf("merge count after cached reads = %s, want 1", got)
+	}
+
+	if _, err := s.Push(pskyline.Element{Point: []float64{-100, -100}, Prob: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	s.View()
+	if got := metric(scrape(), "pskyline_shard_merge_seconds_count"); got != "2" {
+		t.Fatalf("merge count after a write and a read = %s, want 2", got)
 	}
 }
